@@ -9,14 +9,13 @@ checkpoint behind.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError, ValidationError
+from .fileio import write_atomic
 from .models import TrainConfig
 from .training import build_model
 from .windows import FeatureSetSpec, Normalizer
@@ -64,20 +63,6 @@ def _emit(obj, out: list[str]) -> None:
         out.append("null")
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__} in a checkpoint")
-
-
-def write_atomic(path: Path | str, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def save_checkpoint(

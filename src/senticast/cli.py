@@ -15,20 +15,20 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, market, text
-from .checkpoint import load_checkpoint, restore_model, save_checkpoint, write_atomic
-from .config import RunConfig, apply_overrides, load_run_config
+from .checkpoint import load_checkpoint, restore_model, save_checkpoint
+from .config import OVERRIDES, RunConfig, apply_overrides, load_run_config
 from .errors import (
     ConfigError,
     MissingArtifactError,
     SenticastError,
     ValidationError,
 )
+from .fileio import write_atomic
 from .metrics import MetricsRecord, compute_metrics, composite_rank
 from .models import naive_seasonal_forecast
 from .training import grid_search, predict_windows, train_model
@@ -102,13 +102,6 @@ def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     write_atomic(path, buffer.getvalue())
 
 
-def run_per_ticker(tickers: list[str], fn, jobs: int) -> list:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tickers))
-    return [fn(t) for t in tickers]
-
-
 def load_calendar(config: RunConfig) -> market.BusinessCalendar:
     if config.holidays_file is not None:
         require(config.holidays_file)
@@ -156,7 +149,8 @@ def cmd_features(config: RunConfig, artifacts: Artifacts) -> None:
     for feature in daily:
         by_ticker.setdefault(feature.ticker, []).append(feature)
 
-    def build(ticker: str) -> int:
+    panel_rows = {}
+    for ticker in config.tickers:
         prices = market.parse_ohlcv_csv(
             require(config.ohlcv_dir / f"{ticker}.csv"), calendar, ticker
         )
@@ -164,18 +158,16 @@ def cmd_features(config: RunConfig, artifacts: Artifacts) -> None:
         if not features:
             raise ValidationError(f"{ticker}: no labeled tweets to align")
         panel = text.align_panel(prices, features, calendar, config.smoothing_span)
-        artifacts.panel(ticker).parent.mkdir(parents=True, exist_ok=True)
         text.write_panel_csv(artifacts.panel(ticker), panel)
         _write_daily_text(artifacts.daily_text(ticker), features, embedding_dim)
-        return len(panel.rows)
+        panel_rows[ticker] = len(panel.rows)
 
-    row_counts = run_per_ticker(config.tickers, build, config.jobs)
     meta = {
         "tickers": config.tickers,
         "embedding_dim": embedding_dim,
         "smoothing_span": config.smoothing_span,
         "unlabeled_dropped": unlabeled,
-        "panel_rows": {t: n for t, n in zip(config.tickers, row_counts)},
+        "panel_rows": panel_rows,
     }
     write_json(artifacts.features_meta, meta)
     log.info("features: %d panels written", len(config.tickers))
@@ -186,10 +178,13 @@ def _write_daily_text(path: Path, features: list[text.DailyTextFeatures], dim: i
     header += [f"e{i}" for i in range(dim)]
     rows = []
     for f in features:
-        row = [f.business_day.isoformat(), str(f.n_pos), str(f.n_neg), repr(f.score1), repr(f.score2)]
+        row = [
+            f.business_day.isoformat(), str(f.n_pos), str(f.n_neg),
+            repr(float(f.score1)), repr(float(f.score2)),
+        ]
         if dim:
             if f.mean_embedding is not None:
-                row += [repr(v) for v in f.mean_embedding]
+                row += [repr(float(v)) for v in f.mean_embedding]
             else:
                 row += [""] * dim
         rows.append(row)
@@ -212,6 +207,18 @@ def _feature_spec(config: RunConfig, artifacts: Artifacts) -> FeatureSetSpec:
     return FeatureSetSpec(config.feature_set, embedding_dim)
 
 
+def _panel_atr(panel: text.AlignedPanel, period: int) -> list[float]:
+    """Wilder ATR over the panel's own bars (adjusted close = close)."""
+    bars = market.PriceSeries(
+        panel.ticker,
+        [
+            market.OhlcvBar(r.day, r.open, r.high, r.low, r.close, r.close, r.volume)
+            for r in panel.rows
+        ],
+    )
+    return market.atr(bars, period)
+
+
 def cmd_analyze(config: RunConfig, artifacts: Artifacts) -> None:
     panels = _load_panels(config, artifacts)
     correlations: dict[str, dict] = {}
@@ -227,14 +234,7 @@ def cmd_analyze(config: RunConfig, artifacts: Artifacts) -> None:
         for day, value in zip(panel.dates()[1:], returns):
             return_rows.append([ticker, day.isoformat(), repr(value)])
 
-        bars = market.PriceSeries(
-            ticker,
-            [
-                market.OhlcvBar(r.day, r.open, r.high, r.low, r.close, r.close, r.volume)
-                for r in panel.rows
-            ],
-        )
-        volatility = market.atr(bars, config.atr_period)
+        volatility = _panel_atr(panel, config.atr_period)
         volume = panel.column("volume")
         smoothed = analysis.correlation_table(
             {
@@ -421,7 +421,6 @@ def cmd_gridsearch(config: RunConfig, artifacts: Artifacts) -> None:
         model_kind=config.model,
         split=config.split,
         loss=config.loss,
-        jobs=config.jobs,
     )
     keys = [k for k in config.grid if k != "model"]
     header = ["rank", "grid_index", "model"] + keys + ["status", "val_mape", "val_rmse"]
@@ -460,14 +459,7 @@ def cmd_report(config: RunConfig, artifacts: Artifacts) -> None:
     for panel in panels:
         closes = market.min_max_scale(panel.column("close"))
         scores = market.min_max_scale(panel.column("score"))
-        bars = market.PriceSeries(
-            panel.ticker,
-            [
-                market.OhlcvBar(r.day, r.open, r.high, r.low, r.close, r.close, r.volume)
-                for r in panel.rows
-            ],
-        )
-        volatility = market.min_max_scale(market.atr(bars, config.atr_period))
+        volatility = market.min_max_scale(_panel_atr(panel, config.atr_period))
         for day, close_s, score_s, vol_s in zip(panel.dates(), closes, scores, volatility):
             price_rows.append([panel.ticker, day.isoformat(), repr(close_s), repr(score_s)])
             vol_rows.append([panel.ticker, day.isoformat(), repr(vol_s), repr(score_s)])
@@ -498,33 +490,6 @@ _DISPATCH = {
     "report": cmd_report,
 }
 
-_OVERRIDE_FLAGS = {
-    "lookback": int,
-    "horizon": int,
-    "hidden_size": int,
-    "lstm_layers": int,
-    "n_heads": int,
-    "feed_forward": str,
-    "dropout": float,
-    "hidden_continuous_size": int,
-    "norm_type": str,
-    "optimizer": str,
-    "batch_size": int,
-    "learning_rate": float,
-    "epochs": int,
-    "seed": int,
-    "feature_set": str,
-    "model": str,
-    "loss": str,
-    "output": str,
-    "jobs": int,
-    "split": float,
-    "smoothing_span": int,
-    "atr_period": int,
-    "validation_fraction": float,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="senticast",
@@ -534,8 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         cmd = sub.add_parser(command, help=f"run the {command} stage")
         cmd.add_argument("--config", required=True, help="path to the run config file")
-        for flag, kind in _OVERRIDE_FLAGS.items():
-            cmd.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=kind, default=None)
+        for name, setting in OVERRIDES.items():
+            # Values stay strings here; apply_overrides parses them as the config file's are.
+            cmd.add_argument(
+                f"--{name.replace('_', '-')}", dest=name, type=str, default=None,
+                help=f"override {setting.file_key}",
+            )
         cmd.add_argument(
             "--set",
             dest="extra",
@@ -554,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_run_config(args.config)
-        overrides = {key: getattr(args, key) for key in _OVERRIDE_FLAGS}
+        overrides = {name: getattr(args, name) for name in OVERRIDES}
         for pair in args.extra:
             if "=" not in pair:
                 raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")

@@ -1,21 +1,21 @@
-"""Run configuration: flat key-value files with dotted sections, plus overrides."""
+"""Run configuration: flat key-value files with dotted sections, plus overrides.
+
+`SETTINGS` is the one table of settings.  It is derived from the fields of
+`RunConfig` and `TrainConfig` and their type hints; each entry gives the
+config-file key, the name shared by the CLI flag and `--set` (if the setting
+has one), and the type.  A value from any of the three sources goes through
+the same parse, so a malformed value raises `ConfigError` naming its key.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import types
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import ConfigError, ParseError
 from .models import TrainConfig
-
-_TRAIN_FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
-
-_INT_FIELDS = {
-    "lookback", "horizon", "hidden_size", "lstm_layers", "n_heads",
-    "hidden_continuous_size", "batch_size", "epochs", "seed",
-}
-_FLOAT_FIELDS = {"dropout", "learning_rate", "beta1", "beta2", "adam_eps", "dmse_alpha"}
-_BOOL_FIELDS = {"nlinear_const_init"}
 
 
 @dataclass
@@ -33,10 +33,12 @@ class RunConfig:
     model: str = "tft_lite"
     loss: str = "dmse"
     seed: int = 0
-    jobs: int = 1
     validation_fraction: float = 0.2
     train: TrainConfig = field(default_factory=TrainConfig)
     grid: dict[str, list] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.feature_set = self.feature_set.upper()
 
     def validate(self) -> None:
         if not self.tickers:
@@ -51,30 +53,93 @@ class RunConfig:
             raise ConfigError(f"split must be in (0, 1), got {self.split}")
         if self.smoothing_span < 1 or self.atr_period < 1:
             raise ConfigError("smoothing_span and atr_period must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must be in (0, 1)")
         self.train.validate()
 
 
-def _parse_scalar(key: str, raw: str):
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _FLOAT_FIELDS:
-        return float(raw)
-    if key in _BOOL_FIELDS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    return raw
+@dataclass(frozen=True)
+class Setting:
+    field: str  # attribute of RunConfig, or of RunConfig.train when `train` is set
+    train: bool
+    file_key: str
+    override: str | None  # flag and --set name; None when only the file sets it
+    kind: type  # int, float, bool, str, Path or list[str]
+
+    def parse(self, raw: str, key: str):
+        """`raw` converted to this setting's type; `key` names it in the error."""
+        if self.kind is bool:
+            if raw.lower() in ("true", "1", "yes"):
+                return True
+            if raw.lower() in ("false", "0", "no"):
+                return False
+        elif self.kind == list[str]:
+            return [part.strip().upper() for part in raw.split(",") if part.strip()]
+        else:
+            try:
+                return self.kind(raw)
+            except ValueError:
+                pass
+        raise ConfigError(f"{key}: expected {self.kind.__name__}, got {raw!r}")
 
 
-def _grid_values(key: str, raw: str) -> list:
-    return [_parse_scalar(key, part.strip()) if key != "model" else part.strip()
-            for part in raw.split(",") if part.strip()]
+# Each RunConfig field's config-file key and its flag/--set name.  Every
+# TrainConfig field is read from "train.<name>" and overridden by "<name>",
+# except the training seed: it has no override of its own, because the
+# run-level "seed" sets it too (see _train_config).
+_RUN_KEYS = {
+    "ohlcv_dir": ("paths.ohlcv_dir", None),
+    "tweets_file": ("paths.tweets", None),
+    "output_dir": ("paths.output", "output"),
+    "tickers": ("tickers", None),
+    "embeddings_file": ("paths.embeddings", None),
+    "holidays_file": ("paths.holidays", None),
+    "feature_set": ("feature_set", "feature_set"),
+    "smoothing_span": ("smoothing_span", "smoothing_span"),
+    "atr_period": ("analysis.atr_period", "atr_period"),
+    "split": ("split", "split"),
+    "model": ("train.model", "model"),
+    "loss": ("train.loss", "loss"),
+    "seed": ("seed", "seed"),
+    "validation_fraction": ("gridsearch.validation_fraction", "validation_fraction"),
+}
+
+
+def _settings() -> tuple[Setting, ...]:
+    out = []
+    run_hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        if f.name in ("train", "grid"):
+            continue
+        kind = run_hints[f.name]
+        if isinstance(kind, types.UnionType):  # Path | None
+            kind = next(arg for arg in get_args(kind) if arg is not type(None))
+        out.append(Setting(f.name, False, *_RUN_KEYS[f.name], kind))
+    train_hints = get_type_hints(TrainConfig)
+    for f in fields(TrainConfig):
+        override = None if f.name == "seed" else f.name
+        out.append(Setting(f.name, True, f"train.{f.name}", override, train_hints[f.name]))
+    return tuple(out)
+
+
+SETTINGS = _settings()
+FILE_KEYS = {s.file_key: s for s in SETTINGS}
+OVERRIDES = {s.override: s for s in SETTINGS if s.override is not None}
+
+
+def _train_config(base: TrainConfig, run: dict, train: dict) -> TrainConfig:
+    """`base` updated by `train`; a run-level seed also seeds training unless train.seed is set."""
+    if "seed" in run:
+        train = {"seed": run["seed"], **train}
+    return replace(base, **train)
+
+
+def _grid_values(path: Path, key: str, raw: str) -> list:
+    name = key[len("grid.") :]
+    setting = FILE_KEYS.get(f"train.{name}")
+    if setting is None or not (setting.train or name == "model"):
+        raise ConfigError(f"{path}: unknown grid key {name!r}")
+    return [setting.parse(part.strip(), f"{path}: {key}") for part in raw.split(",") if part.strip()]
 
 
 def read_key_values(path: Path | str) -> dict[str, str]:
@@ -101,109 +166,40 @@ def load_run_config(path: Path | str) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    pairs = read_key_values(path)
-    base_dir = path.parent
-
-    def take_path(key: str, required: bool = False) -> Path | None:
-        raw = pairs.pop(key, None)
-        if raw is None:
-            if required:
-                raise ConfigError(f"{path}: missing required key {key!r}")
-            return None
-        return (base_dir / raw).resolve() if not Path(raw).is_absolute() else Path(raw)
-
-    ohlcv_dir = take_path("paths.ohlcv_dir", required=True)
-    tweets_file = take_path("paths.tweets", required=True)
-    output_dir = take_path("paths.output", required=True)
-    embeddings_file = take_path("paths.embeddings")
-    holidays_file = take_path("paths.holidays")
-
-    tickers_raw = pairs.pop("tickers", "")
-    tickers = [t.strip().upper() for t in tickers_raw.split(",") if t.strip()]
-
-    config = RunConfig(
-        ohlcv_dir=ohlcv_dir,
-        tweets_file=tweets_file,
-        output_dir=output_dir,
-        tickers=tickers,
-        embeddings_file=embeddings_file,
-        holidays_file=holidays_file,
-    )
-
-    train_kwargs: dict = {}
-    for key in list(pairs):
-        value = pairs.pop(key)
-        if key.startswith("train."):
-            name = key[len("train.") :]
-            if name == "model":
-                config.model = value
-            elif name == "loss":
-                config.loss = value
-            elif name in _TRAIN_FIELD_TYPES:
-                train_kwargs[name] = _parse_scalar(name, value)
-            else:
-                raise ConfigError(f"{path}: unknown train key {name!r}")
-        elif key.startswith("grid."):
-            name = key[len("grid.") :]
-            if name != "model" and name not in _TRAIN_FIELD_TYPES:
-                raise ConfigError(f"{path}: unknown grid key {name!r}")
-            config.grid[name] = _grid_values(name, value)
-        elif key == "feature_set":
-            config.feature_set = value.upper()
-        elif key == "seed":
-            config.seed = int(value)
-        elif key == "smoothing_span":
-            config.smoothing_span = int(value)
-        elif key == "analysis.atr_period":
-            config.atr_period = int(value)
-        elif key == "split":
-            config.split = float(value)
-        elif key == "jobs":
-            config.jobs = int(value)
-        elif key == "gridsearch.validation_fraction":
-            config.validation_fraction = float(value)
-        else:
+    run: dict = {}
+    train: dict = {}
+    grid: dict[str, list] = {}
+    for key, raw in read_key_values(path).items():
+        if key.startswith("grid."):
+            grid[key[len("grid.") :]] = _grid_values(path, key, raw)
+            continue
+        setting = FILE_KEYS.get(key)
+        if setting is None:
             raise ConfigError(f"{path}: unknown key {key!r}")
+        value = setting.parse(raw, f"{path}: {key}")
+        if setting.kind is Path and not value.is_absolute():
+            value = (path.parent / value).resolve()
+        (train if setting.train else run)[setting.field] = value
 
-    if "seed" not in train_kwargs:
-        train_kwargs["seed"] = config.seed
-    config.train = replace(TrainConfig(), **train_kwargs)
+    for f in fields(RunConfig):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in run:
+            raise ConfigError(f"{path}: missing required key {_RUN_KEYS[f.name][0]!r}")
+    config = RunConfig(**run, train=_train_config(TrainConfig(), run, train), grid=grid)
     config.validate()
     return config
 
 
-def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:
-    """CLI flag overrides; keys are train fields or top-level run keys."""
-    train_kwargs: dict = {}
+def apply_overrides(config: RunConfig, overrides: dict[str, str | None]) -> RunConfig:
+    """Flag and --set overrides keyed by their `OVERRIDES` name; None values are skipped."""
+    run: dict = {}
+    train: dict = {}
     for key, raw in overrides.items():
         if raw is None:
             continue
-        value = str(raw)
-        if key in _TRAIN_FIELD_TYPES:
-            train_kwargs[key] = _parse_scalar(key, value)
-        elif key == "feature_set":
-            config.feature_set = value.upper()
-        elif key == "model":
-            config.model = value
-        elif key == "loss":
-            config.loss = value
-        elif key == "output":
-            config.output_dir = Path(value)
-        elif key == "jobs":
-            config.jobs = int(value)
-        elif key == "split":
-            config.split = float(value)
-        elif key == "smoothing_span":
-            config.smoothing_span = int(value)
-        elif key == "atr_period":
-            config.atr_period = int(value)
-        elif key == "validation_fraction":
-            config.validation_fraction = float(value)
-        else:
+        setting = OVERRIDES.get(key)
+        if setting is None:
             raise ConfigError(f"unknown override key {key!r}")
-    if "seed" in train_kwargs:
-        config.seed = int(train_kwargs["seed"])
-    if train_kwargs:
-        config.train = replace(config.train, **train_kwargs)
+        (train if setting.train else run)[setting.field] = setting.parse(str(raw), key)
+    config = replace(config, **run, train=_train_config(config.train, run, train))
     config.validate()
     return config

@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .analysis import average_ranks
 from .errors import DomainError, ValidationError
 
 METRIC_NAMES = ("mape", "mae", "r2", "rmse", "mse", "smape")
@@ -98,20 +99,6 @@ class RankedRecord:
     position: int = 0
 
 
-def _average_rank(values: list[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def composite_rank(records: Sequence[MetricsRecord]) -> dict[str, list[RankedRecord]]:
     """Per-ticker ranking by the mean of six per-metric ranks.
 
@@ -138,7 +125,7 @@ def composite_rank(records: Sequence[MetricsRecord]) -> dict[str, list[RankedRec
             values = [r.metric(name) for r in group]
             if name in HIGHER_IS_BETTER:
                 values = [-v for v in values]
-            per_metric[name] = _average_rank(values)
+            per_metric[name] = average_ranks(values).tolist()
         ranked = []
         for idx, record in enumerate(group):
             metric_ranks = {name: per_metric[name][idx] for name in METRIC_NAMES}

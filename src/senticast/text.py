@@ -8,6 +8,7 @@ data into gap-free per-ticker panels.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import AlignmentError, NoObservations, ParseError, ValidationError
+from .fileio import write_atomic
 from .market import BusinessCalendar, PriceSeries, smooth
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -384,26 +386,18 @@ def attach_embeddings(tweets: Sequence[TweetRecord], vectors: dict[str, list[flo
 def write_panel_csv(path: Path | str, panel: AlignedPanel) -> None:
     header = ["date", "high", "low", "open", "volume", "close", "score", "score_raw", "holiday", "dow"]
     header += [f"e{i}" for i in range(panel.embedding_dim)]
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in panel.rows:
-            record = [
-                row.day.isoformat(),
-                repr(row.high),
-                repr(row.low),
-                repr(row.open),
-                repr(row.volume),
-                repr(row.close),
-                repr(row.score),
-                repr(row.score_raw),
-                str(row.holiday),
-                str(row.day_of_week),
-            ]
-            if panel.embedding_dim:
-                vec = row.embedding if row.embedding is not None else [0.0] * panel.embedding_dim
-                record += [repr(v) for v in vec]
-            writer.writerow(record)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for row in panel.rows:
+        values = [row.high, row.low, row.open, row.volume, row.close, row.score, row.score_raw]
+        record = [row.day.isoformat(), *(repr(float(v)) for v in values)]
+        record += [str(row.holiday), str(row.day_of_week)]
+        if panel.embedding_dim:
+            vec = row.embedding if row.embedding is not None else [0.0] * panel.embedding_dim
+            record += [repr(float(v)) for v in vec]
+        writer.writerow(record)
+    write_atomic(path, buffer.getvalue())
 
 
 def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -192,13 +191,12 @@ def grid_search(
     model_kind: str = "tft_lite",
     split: float = 0.8,
     loss: str = "dmse",
-    jobs: int = 1,
 ) -> GridSearchResult:
     """Train one model per grid point; rank by validation MAPE, then RMSE, then order.
 
     A failed training run marks its point instead of aborting the search.
     The key "model" may appear in the space to vary the model kind.  Points
-    run on up to `jobs` threads; results are assembled in grid order.
+    run one after the other, in grid order.
     """
     if not space or any(len(v) == 0 for v in space.values()):
         raise ValidationError("grid space must be a nonempty Cartesian product")
@@ -221,9 +219,9 @@ def grid_search(
             continue
         points.append(GridPoint(index, kind, dict(zip(keys, values)), config))
 
-    def run_point(point: GridPoint) -> None:
+    for point in points:
         if point.status != "ok":
-            return
+            continue
         try:
             train, _, normalizer = build_windows(
                 panels, spec, point.config.lookback, point.config.horizon, split
@@ -243,13 +241,6 @@ def grid_search(
         except (SenticastError, FloatingPointError, np.linalg.LinAlgError) as exc:
             point.status = f"failed: {exc}"
             log.warning("grid point %d failed: %s", point.index, exc)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_point, points))
-    else:
-        for point in points:
-            run_point(point)
 
     ranked = sorted(
         (p for p in points if p.status == "ok"),

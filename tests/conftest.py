@@ -46,6 +46,50 @@ def spearman_oracle(x, y) -> float:
     return cov / math.sqrt(vx * vy)
 
 
+# Every setting with a scalar value: (config-file key, flag and --set name,
+# raw value, attribute path on RunConfig, parsed value).  Written out by hand,
+# independently of senticast.config.SETTINGS, so that a key that changes or
+# goes missing from that table fails a test.
+SETTING_CASES = [
+    ("train.lookback", "lookback", "7", "train.lookback", 7),
+    ("train.horizon", "horizon", "2", "train.horizon", 2),
+    ("train.hidden_size", "hidden_size", "32", "train.hidden_size", 32),
+    ("train.lstm_layers", "lstm_layers", "2", "train.lstm_layers", 2),
+    ("train.n_heads", "n_heads", "8", "train.n_heads", 8),
+    ("train.feed_forward", "feed_forward", "relu", "train.feed_forward", "relu"),
+    ("train.dropout", "dropout", "0.5", "train.dropout", 0.5),
+    ("train.hidden_continuous_size", "hidden_continuous_size", "4", "train.hidden_continuous_size", 4),
+    ("train.norm_type", "norm_type", "layernorm", "train.norm_type", "layernorm"),
+    ("train.optimizer", "optimizer", "adam", "train.optimizer", "adam"),
+    ("train.batch_size", "batch_size", "16", "train.batch_size", 16),
+    ("train.learning_rate", "learning_rate", "0.01", "train.learning_rate", 0.01),
+    ("train.beta1", "beta1", "0.8", "train.beta1", 0.8),
+    ("train.beta2", "beta2", "0.99", "train.beta2", 0.99),
+    ("train.adam_eps", "adam_eps", "1e-6", "train.adam_eps", 1e-6),
+    ("train.epochs", "epochs", "5", "train.epochs", 5),
+    ("train.seed", "seed", "5", "train.seed", 5),
+    ("train.dmse_alpha", "dmse_alpha", "10", "train.dmse_alpha", 10.0),
+    ("train.nlinear_const_init", "nlinear_const_init", "false", "train.nlinear_const_init", False),
+    ("feature_set", "feature_set", "hlove", "feature_set", "HLOVE"),
+    ("smoothing_span", "smoothing_span", "5", "smoothing_span", 5),
+    ("analysis.atr_period", "atr_period", "7", "atr_period", 7),
+    ("split", "split", "0.7", "split", 0.7),
+    ("train.model", "model", "nlinear", "model", "nlinear"),
+    ("train.loss", "loss", "mse", "loss", "mse"),
+    ("seed", "seed", "5", "seed", 5),
+    ("gridsearch.validation_fraction", "validation_fraction", "0.3", "validation_fraction", 0.3),
+]
+
+# One malformed value per parsed type: (config-file key, flag and --set name, raw value).
+MALFORMED_CASES = [
+    ("train.epochs", "epochs", "three"),
+    ("train.dropout", "dropout", "abc"),
+    ("train.nlinear_const_init", "nlinear_const_init", "maybe"),
+]
+SETTING_IDS = [case[0] for case in SETTING_CASES]
+MALFORMED_IDS = [case[0] for case in MALFORMED_CASES]
+
+
 def latent_sentiment_panels(
     seed: int,
     n_companies: int = 2,

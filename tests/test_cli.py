@@ -1,9 +1,17 @@
 from __future__ import annotations
 
 import json
+from datetime import date
+from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from conftest import MALFORMED_CASES, MALFORMED_IDS, SETTING_CASES, SETTING_IDS
+from senticast import cli
 from senticast.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, main
+from senticast.text import DailyTextFeatures
 
 FIXTURE_CONFIG = str(Path(__file__).parent / "fixtures" / "pipeline" / "config.cfg")
 
@@ -141,17 +149,6 @@ class TestDeterminism:
         run_pipeline(out)
         assert (out / "evaluate" / "metrics.json").read_bytes() == metrics_before
 
-    def test_parallel_feature_builds_match_sequential(self, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        for out, jobs in ((out_a, "1"), (out_b, "2")):
-            assert run("preprocess", out) == EXIT_OK
-            assert run("features", out, "--jobs", jobs) == EXIT_OK
-        for name in ("panel_AAA.csv", "panel_BBB.csv", "meta.json"):
-            assert (out_a / "features" / name).read_bytes() == (
-                out_b / "features" / name
-            ).read_bytes(), name
-
     def test_seed_override_changes_training_artifacts(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -191,3 +188,55 @@ class TestOverridesOnCli:
         assert checkpoint["model_type"] == "nlinear"
         assert run("predict", out) == EXIT_OK
         assert run("evaluate", out) == EXIT_OK
+
+
+@pytest.fixture
+def dispatched(monkeypatch) -> list:
+    """Configs that reached the train stage; the stage itself does not run."""
+    seen: list = []
+    monkeypatch.setitem(cli._DISPATCH, "train", lambda config, artifacts: seen.append(config))
+    return seen
+
+
+def flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+class TestKeyTableOnCli:
+    @pytest.mark.parametrize("file_key, name, raw, attr, value", SETTING_CASES, ids=SETTING_IDS)
+    def test_flag_sets_field(self, dispatched, file_key, name, raw, attr, value):
+        assert main(["train", "--config", FIXTURE_CONFIG, flag(name), raw]) == EXIT_OK
+        assert attrgetter(attr)(dispatched[0]) == value
+
+    @pytest.mark.parametrize("file_key, name, raw, attr, value", SETTING_CASES, ids=SETTING_IDS)
+    def test_set_sets_field(self, dispatched, file_key, name, raw, attr, value):
+        assert main(["train", "--config", FIXTURE_CONFIG, "--set", f"{name}={raw}"]) == EXIT_OK
+        assert attrgetter(attr)(dispatched[0]) == value
+
+    @pytest.mark.parametrize("source", ["file", "flag", "set"])
+    @pytest.mark.parametrize("file_key, name, raw", MALFORMED_CASES, ids=MALFORMED_IDS)
+    def test_malformed_value_exits_3_naming_key(
+        self, tmp_path, caplog, dispatched, source, file_key, name, raw
+    ):
+        config = tmp_path / "run.cfg"
+        text = "paths.ohlcv_dir = o\npaths.tweets = t.csv\npaths.output = out\ntickers = AAA\n"
+        argv = ["train", "--config", str(config)]
+        if source == "file":
+            text += f"{file_key} = {raw}\n"
+        elif source == "flag":
+            argv += [flag(name), raw]
+        else:
+            argv += ["--set", f"{name}={raw}"]
+        config.write_text(text)
+        assert main(argv) == EXIT_VALIDATION
+        assert f"{file_key if source == 'file' else name}: expected" in caplog.text
+        assert not dispatched
+
+
+def test_daily_text_numpy_scalars_are_written_as_plain_floats(tmp_path):
+    path = tmp_path / "daily.csv"
+    feature = DailyTextFeatures(
+        date(2021, 1, 4), "AAA", 2, 1, np.float64(0.5), np.float64(1 / 3), list(np.array([0.25, -1.5]))
+    )
+    cli._write_daily_text(path, [feature], 2)
+    assert path.read_text().splitlines()[1] == "2021-01-04,2,1,0.5,0.3333333333333333,0.25,-1.5"

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import re
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
-from senticast.config import apply_overrides, load_run_config, read_key_values
+from conftest import MALFORMED_CASES, MALFORMED_IDS, SETTING_CASES, SETTING_IDS
+from senticast.config import RunConfig, apply_overrides, load_run_config, read_key_values
 from senticast.errors import ConfigError, ParseError
+from senticast.models import TrainConfig
 
 MINIMAL = """
 paths.ohlcv_dir = data/ohlcv
@@ -117,3 +122,45 @@ class TestOverrides:
         config = load_run_config(write_config(tmp_path, MINIMAL))
         with pytest.raises(ConfigError):
             apply_overrides(config, {"hidden_size": "30", "n_heads": "4"})
+
+
+class TestKeyTable:
+    def test_cases_cover_every_scalar_field(self):
+        expected = {f"train.{name}" for name in get_type_hints(TrainConfig)}
+        expected |= {
+            name for name, hint in get_type_hints(RunConfig).items() if hint in (str, int, float, bool)
+        }
+        assert {case[3] for case in SETTING_CASES} == expected
+
+    @pytest.mark.parametrize("file_key, name, raw, attr, value", SETTING_CASES, ids=SETTING_IDS)
+    def test_file_key_sets_field(self, tmp_path, file_key, name, raw, attr, value):
+        config = load_run_config(write_config(tmp_path, MINIMAL + f"{file_key} = {raw}\n"))
+        assert attrgetter(attr)(config) == value
+
+    @pytest.mark.parametrize("file_key, name, raw, attr, value", SETTING_CASES, ids=SETTING_IDS)
+    def test_override_sets_field(self, tmp_path, file_key, name, raw, attr, value):
+        config = apply_overrides(load_run_config(write_config(tmp_path, MINIMAL)), {name: raw})
+        assert attrgetter(attr)(config) == value
+
+    def test_train_seed_key_wins_over_run_seed(self, tmp_path):
+        config = load_run_config(write_config(tmp_path, MINIMAL + "seed = 9\ntrain.seed = 4\n"))
+        assert config.seed == 9 and config.train.seed == 4
+
+    @pytest.mark.parametrize("file_key, name, raw", MALFORMED_CASES, ids=MALFORMED_IDS)
+    def test_malformed_file_value_names_key(self, tmp_path, file_key, name, raw):
+        with pytest.raises(ConfigError, match=re.escape(f"{file_key}: expected")):
+            load_run_config(write_config(tmp_path, MINIMAL + f"{file_key} = {raw}\n"))
+
+    @pytest.mark.parametrize("file_key, name, raw", MALFORMED_CASES, ids=MALFORMED_IDS)
+    def test_malformed_override_names_key(self, tmp_path, file_key, name, raw):
+        config = load_run_config(write_config(tmp_path, MINIMAL))
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: expected")):
+            apply_overrides(config, {name: raw})
+
+    def test_malformed_grid_value_names_key(self, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape("grid.lookback: expected int")):
+            load_run_config(write_config(tmp_path, MINIMAL + "grid.lookback = 5, x\n"))
+
+    def test_jobs_is_an_unknown_key(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown key 'jobs'"):
+            load_run_config(write_config(tmp_path, MINIMAL + "jobs = 2\n"))

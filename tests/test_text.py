@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date, datetime
 
 import numpy as np
 import pytest
 
+from conftest import latent_sentiment_panels
 from senticast.errors import AlignmentError, NoObservations, ValidationError
 from senticast.market import BusinessCalendar, OhlcvBar, PriceSeries
 from senticast.text import (
+    AlignedPanel,
+    PanelRow,
     TweetRecord,
     aggregate_daily_text,
     align_panel,
@@ -280,6 +284,37 @@ class TestPanelRoundTrip:
         assert loaded.embedding_dim == panel.embedding_dim
         for a, b in zip(panel.rows, loaded.rows):
             assert a == b
+
+    def test_numpy_scalars_round_trip_as_plain_floats(self, tmp_path):
+        panel = latent_sentiment_panels(0, n_companies=1, length=20, embed_dim=3)[0]
+        assert isinstance(panel.rows[-1].close, np.floating)
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, panel)
+        assert "np." not in path.read_text()
+        loaded = read_panel_csv(path, panel.ticker)
+        for a, b in zip(panel.rows, loaded.rows):
+            assert b == PanelRow(
+                a.day, *(float(v) for v in (a.high, a.low, a.open, a.volume, a.close, a.score, a.score_raw)),
+                [float(v) for v in a.embedding], a.holiday, a.day_of_week,
+            )
+
+    def test_crash_mid_write_leaves_old_panel_intact(self, tmp_path):
+        class Unwritable(float):
+            def __float__(self):
+                raise RuntimeError("disk went away")
+
+            __repr__ = __str__ = __float__
+
+        panel = latent_sentiment_panels(0, n_companies=1, length=50, embed_dim=3)[0]
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, panel)
+        before = path.read_bytes()
+        rows = list(panel.rows)
+        rows[30] = replace(rows[30], close=Unwritable(1.0))
+        with pytest.raises(RuntimeError, match="disk went away"):
+            write_panel_csv(path, AlignedPanel(panel.ticker, rows, panel.embedding_dim))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
 
 
 class TestTweetsCsv:

@@ -175,20 +175,6 @@ class TestGridSearch:
         )
         assert result.best.model_kind == "nlinear"
 
-    def test_parallel_jobs_match_sequential(self):
-        panel = linear_panel(T=100)
-        kwargs = dict(
-            space={"lookback": [5, 10, 15]},
-            panels=[panel],
-            spec=FeatureSetSpec("HLOV"),
-            validation_fraction=0.25,
-            base_config=TrainConfig(epochs=10, seed=0),
-            model_kind="nlinear",
-        )
-        seq = grid_search(**kwargs, jobs=1)
-        par = grid_search(**kwargs, jobs=3)
-        assert [p.val_mape for p in seq.leaderboard] == [p.val_mape for p in par.leaderboard]
-
     def test_empty_space_rejected(self):
         with pytest.raises(ValidationError):
             grid_search({}, [linear_panel()], FeatureSetSpec("HLOV"), 0.25)
