@@ -331,17 +331,18 @@ def cmd_predict(config: RunConfig, artifacts: Artifacts) -> None:
         panel.ticker: {row.day: row.close for row in panel.rows} for panel in panels
     }
     tickers = checkpoint.normalizer.tickers
+    pred = checkpoint.normalizer.denormalize_close(test.company, predictions)
+    anchor_days, target_days = test.anchor_day, test.target_days
 
     model_rows, naive_rows = [], []
-    for sample, pred_n in zip(test, predictions):
-        ticker = tickers[sample.company_index]
+    for i, company in enumerate(test.company.tolist()):
+        ticker = tickers[company]
         closes = close_by_day[ticker]
-        pred = checkpoint.normalizer.denormalize_close(sample.company_index, pred_n)
-        naive = naive_seasonal_forecast([closes[sample.anchor_day]], len(sample.target_days))
-        for step, day in enumerate(sample.target_days, start=1):
+        naive = naive_seasonal_forecast([closes[anchor_days[i]]], target_days.shape[1])
+        for step, day in enumerate(target_days[i], start=1):
             truth = closes[day]
             model_rows.append(
-                [day.isoformat(), ticker, str(step), repr(truth), repr(float(pred[step - 1]))]
+                [day.isoformat(), ticker, str(step), repr(truth), repr(float(pred[i, step - 1]))]
             )
             naive_rows.append(
                 [day.isoformat(), ticker, str(step), repr(truth), repr(naive[step - 1])]

@@ -213,12 +213,6 @@ def daily_returns_sigma(close: Sequence[float]) -> tuple[list[float], float]:
     return returns, math.sqrt(sum(r * r for r in returns))
 
 
-def squared_return_sum(close: Sequence[float]) -> float:
-    """The raw sum of squared daily returns (sigma squared)."""
-    returns, _ = daily_returns_sigma(close)
-    return sum(r * r for r in returns)
-
-
 def min_max_scale(series: Sequence[float]) -> list[float]:
     """Map to [0, 1]; a constant series maps to all zeros."""
     if len(series) == 0:

@@ -17,7 +17,7 @@ from .nn.blocks import (
     causal_mask,
 )
 from .nn.layers import Linear
-from .windows import KNOWN_DIM, WindowSample
+from .windows import KNOWN_DIM
 
 
 @dataclass
@@ -65,12 +65,18 @@ class TrainConfig:
             raise ConfigError(f"only the adam optimizer is implemented, got {self.optimizer!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        # Each check is written so that NaN fails it.
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {beta}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.dmse_alpha < 1:
-            raise ConfigError("dmse_alpha must be >= 1")
+        if not self.dmse_alpha >= 1:
+            raise ConfigError(f"dmse_alpha must be >= 1, got {self.dmse_alpha}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -141,14 +147,6 @@ class NLinear:
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
-
-
-def nlinear_forward(x: Sequence[float], model: NLinear) -> np.ndarray:
-    """Single-window convenience wrapper around NLinear.forward."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"expected a 1-d window, got shape {arr.shape}")
-    return model.forward(Tensor(arr.reshape(1, -1))).data[0]
 
 
 class TftLite:
@@ -261,21 +259,3 @@ class TftLite:
         params += self.head.parameters()
         return params
 
-
-def tft_lite_forward(
-    sample: WindowSample,
-    model: TftLite,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Single-sample forward pass; training mode applies seeded dropout."""
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be train or eval, got {mode!r}")
-    out = model.forward_batch(
-        sample.past[None, :, :],
-        sample.known_future[None, :, :],
-        np.asarray([sample.company_index]),
-        training=(mode == "train"),
-        rng=rng,
-    )
-    return out.data[0]

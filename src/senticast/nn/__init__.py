@@ -6,11 +6,9 @@ from .blocks import (
     MultiHeadAttention,
     VariableSelection,
     causal_mask,
-    lstm_step,
-    variable_selection,
 )
 from .gradcheck import GradCheckReport, gradcheck
-from .layers import LayerNorm, Linear, RMSNorm, SwigluFF, dropout, rmsnorm, swiglu_ff
+from .layers import LayerNorm, Linear, RMSNorm, SwigluFF, dropout, rmsnorm
 from .optim import adam_step
 
 __all__ = [
@@ -31,10 +29,7 @@ __all__ = [
     "concat",
     "dropout",
     "gradcheck",
-    "lstm_step",
     "no_grad",
     "rmsnorm",
-    "swiglu_ff",
-    "variable_selection",
     "zero_grads",
 ]

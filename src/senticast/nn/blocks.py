@@ -126,12 +126,6 @@ class LstmCell:
         return self.wx.parameters() + self.wh.parameters()
 
 
-def lstm_step(
-    x: Tensor, h_prev: Tensor, c_prev: Tensor, cell: LstmCell
-) -> tuple[Tensor, Tensor]:
-    return cell.step(x, h_prev, c_prev)
-
-
 class LstmEncoder:
     """Stacked unidirectional LSTM over (batch, time, features)."""
 
@@ -288,9 +282,3 @@ class VariableSelection:
         for grn in self.var_grns:
             params += grn.parameters()
         return params
-
-
-def variable_selection(
-    block: VariableSelection, variables: list[Tensor], context: Tensor | None = None
-) -> tuple[Tensor, Tensor]:
-    return block(variables, context)

@@ -76,16 +76,9 @@ def make_norm(kind: str, dim: int, name: str):
     raise ShapeError(f"unknown norm type {kind!r}")
 
 
-def swiglu_ff(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor, variant: str = "swiglu") -> Tensor:
-    """Gated feed-forward: W3-projected silu(W1 x) * (W2 x), or plain relu."""
-    if variant == "swiglu":
-        return ((x @ w1).silu() * (x @ w2)) @ w3
-    if variant == "relu":
-        return (x @ w1).relu() @ w3
-    raise ShapeError(f"unknown feed-forward variant {variant!r}")
-
-
 class SwigluFF:
+    """Gated feed-forward: W3-projected silu(W1 x) * (W2 x), or plain relu."""
+
     def __init__(self, d_in: int, d_hidden: int, d_out: int, variant: str, name: str, rng: np.random.Generator):
         if variant not in ("swiglu", "relu"):
             raise ShapeError(f"unknown feed-forward variant {variant!r}")
@@ -101,7 +94,7 @@ class SwigluFF:
     def __call__(self, x: Tensor) -> Tensor:
         if self.variant == "relu":
             return (x @ self.w1).relu() @ self.w3
-        return swiglu_ff(x, self.w1, self.w2, self.w3, self.variant)
+        return ((x @ self.w1).silu() * (x @ self.w2)) @ self.w3
 
     def parameters(self) -> list[Parameter]:
         if self.w2 is None:

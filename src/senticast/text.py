@@ -334,15 +334,6 @@ def load_tweets_csv(path: Path | str) -> list[TweetRecord]:
     return out
 
 
-def write_tweets_csv(path: Path | str, tweets: Sequence[TweetRecord]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("tweet_id", "writer", "post_date", "ticker", "body", "sentiment"))
-        for t in tweets:
-            label = "" if t.sentiment is None else str(t.sentiment)
-            writer.writerow((t.tweet_id, t.writer, t.post_date.isoformat(sep=" "), t.ticker, t.body, label))
-
-
 def load_embeddings_csv(path: Path | str) -> dict[str, list[float]]:
     """Read `tweet_id,v0,...,v{d-1}`; the column count declares d."""
     path = Path(path)

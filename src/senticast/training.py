@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -15,44 +14,18 @@ from .models import NLinear, TftLite, TrainConfig
 from .nn.autograd import no_grad, zero_grads
 from .nn.optim import adam_step
 from .text import AlignedPanel
-from .windows import CLOSE_COLUMN, FeatureSetSpec, WindowSample, build_windows
+from .windows import CLOSE_COLUMN, FeatureSetSpec, Windows, build_windows
 
 log = logging.getLogger(__name__)
 
 MODEL_KINDS = ("nlinear", "tft_lite")
 
 
-@dataclass
-class WindowArrays:
-    past: np.ndarray
-    known: np.ndarray
-    company: np.ndarray
-    target: np.ndarray
-    anchor: np.ndarray
-
-    def __len__(self) -> int:
-        return self.past.shape[0]
-
-    def take(self, indices: np.ndarray) -> "WindowArrays":
-        return WindowArrays(
-            self.past[indices],
-            self.known[indices],
-            self.company[indices],
-            self.target[indices],
-            self.anchor[indices],
-        )
-
-
-def stack_windows(windows: Sequence[WindowSample]) -> WindowArrays:
-    if not windows:
+def stack_windows(windows: Windows) -> Windows:
+    """The set as one batch whose arrays are gathered when read; rejects an empty set."""
+    if not len(windows):
         raise ValidationError("no windows to stack")
-    return WindowArrays(
-        past=np.stack([w.past for w in windows]),
-        known=np.stack([w.known_future for w in windows]),
-        company=np.asarray([w.company_index for w in windows], dtype=np.int64),
-        target=np.stack([w.target for w in windows]),
-        anchor=np.asarray([w.anchor_close for w in windows]),
-    )
+    return windows
 
 
 def build_model(
@@ -74,7 +47,7 @@ def build_model(
 
 def train_model(
     model_kind: str,
-    windows: Sequence[WindowSample],
+    windows: Windows,
     config: TrainConfig,
     loss: str = "dmse",
     n_companies: int | None = None,
@@ -86,26 +59,23 @@ def train_model(
     config.validate()
     if loss not in ("dmse", "mse"):
         raise ConfigError(f"loss must be dmse or mse, got {loss!r}")
-    if not windows:
-        raise ValidationError("training set is empty")
-
-    arrays = stack_windows(windows)
+    windows = stack_windows(windows)
     if n_companies is None:
-        n_companies = int(arrays.company.max()) + 1
+        n_companies = int(windows.company.max()) + 1
     init_rng, shuffle_rng, dropout_rng = [
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)
     ]
-    model = build_model(model_kind, config, arrays.past.shape[2], n_companies, init_rng)
+    model = build_model(model_kind, config, windows.rows.shape[1], n_companies, init_rng)
     params = model.parameters()
 
-    total = len(arrays)
+    total = len(windows)
     curve: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(total)
         epoch_loss = 0.0
         for start in range(0, total, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            batch = arrays.take(batch_idx)
+            batch = windows[batch_idx]
             pred = model.forward_batch(
                 batch.past, batch.known, batch.company, training=True, rng=dropout_rng
             )
@@ -126,13 +96,13 @@ def train_model(
     return model, curve
 
 
-def predict_windows(model, windows: Sequence[WindowSample], chunk: int = 512) -> np.ndarray:
+def predict_windows(model, windows: Windows, chunk: int = 512) -> np.ndarray:
     """Eval-mode predictions, (n_windows, horizon), in normalized units."""
-    arrays = stack_windows(windows)
+    windows = stack_windows(windows)
     outputs = []
     with no_grad():
-        for start in range(0, len(arrays), chunk):
-            batch = arrays.take(np.arange(start, min(start + chunk, len(arrays))))
+        for start in range(0, len(windows), chunk):
+            batch = windows[start : start + chunk]
             outputs.append(
                 model.forward_batch(batch.past, batch.known, batch.company, training=False).data
             )
@@ -164,22 +134,19 @@ class GridSearchResult:
     leaderboard: list[GridPoint] = field(default_factory=list)
 
 
-def _validation_split(
-    windows: Sequence[WindowSample], fraction: float
-) -> tuple[list[WindowSample], list[WindowSample]]:
+def _validation_split(windows: Windows, fraction: float) -> tuple[Windows, Windows]:
     """Chronological tail of each company's windows becomes validation."""
-    by_company: dict[int, list[WindowSample]] = {}
-    for w in windows:
-        by_company.setdefault(w.company_index, []).append(w)
-    fit, val = [], []
-    for company in sorted(by_company):
-        group = by_company[company]
-        n_val = max(1, int(round(fraction * len(group))))
-        if n_val >= len(group):
-            raise ValidationError(f"company {company}: validation fraction leaves no fit windows")
-        fit += group[: len(group) - n_val]
-        val += group[len(group) - n_val :]
-    return fit, val
+    if not len(windows):
+        raise ValidationError("no training windows to split for validation")
+    order = np.argsort(windows.company, kind="stable")
+    companies, first, counts = np.unique(windows.company[order], return_index=True, return_counts=True)
+    n_val = np.maximum(1, np.round(fraction * counts).astype(np.int64))
+    if np.any(n_val >= counts):
+        company = companies[np.argmax(n_val >= counts)]
+        raise ValidationError(f"company {company}: validation fraction leaves no fit windows")
+    group = np.repeat(np.arange(len(companies)), counts)
+    in_val = np.arange(len(order)) - first[group] >= (counts - n_val)[group]
+    return windows[order[~in_val]], windows[order[in_val]]
 
 
 def grid_search(
@@ -231,12 +198,9 @@ def grid_search(
                 point.model_kind, fit, point.config, loss=loss, n_companies=len(panels)
             )
             pred_n = predict_windows(model, val)
-            truths, preds = [], []
-            for row, sample in zip(pred_n, val):
-                truths.append(normalizer.denormalize_close(sample.company_index, sample.target))
-                preds.append(normalizer.denormalize_close(sample.company_index, row))
             point.val_mape, point.val_rmse = _mape_rmse(
-                np.concatenate(truths), np.concatenate(preds)
+                normalizer.denormalize_close(val.company, val.target).ravel(),
+                normalizer.denormalize_close(val.company, pred_n).ravel(),
             )
         except (SenticastError, FloatingPointError, np.linalg.LinAlgError) as exc:
             point.status = f"failed: {exc}"

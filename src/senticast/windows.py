@@ -6,8 +6,7 @@ normalization statistics are fitted on each company's training rows only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from datetime import date
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,15 +44,70 @@ class FeatureSetSpec:
         return len(self.columns)
 
 
-@dataclass
-class WindowSample:
-    company_index: int
-    past: np.ndarray  # (lookback, features), normalized
-    known_future: np.ndarray  # (horizon, KNOWN_DIM)
-    target: np.ndarray  # (horizon,), normalized close
-    anchor_close: float  # last observed normalized close
-    target_days: list[date] = field(default_factory=list)
-    anchor_day: date | None = None
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Stride-1 windows as index vectors over rows stacked once.
+
+    `rows` holds every company's normalized panel rows end to end,
+    `known_rows` their calendar covariates and `days` their dates.  Window k
+    ends (its last observed row) at `ends[k]` and belongs to `company[k]`.
+    Indexing by int, slice or index array gives a Windows that shares the
+    rows; the per-window fields are gathered only when read.
+    """
+
+    rows: np.ndarray  # (total rows, features), normalized
+    known_rows: np.ndarray  # (total rows, KNOWN_DIM)
+    days: np.ndarray  # (total rows,) dates
+    ends: np.ndarray  # (n,) int64
+    company: np.ndarray  # (n,) int64
+    lookback: int
+    horizon: int
+    close_index: int
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, key) -> "Windows":
+        return replace(self, ends=self.ends[key], company=self.company[key])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def company_index(self) -> np.ndarray:
+        return self.company
+
+    @property
+    def _ahead(self) -> np.ndarray:
+        return self.ends[..., None] + np.arange(1, self.horizon + 1)
+
+    @property
+    def past(self) -> np.ndarray:
+        """(n, lookback, features) normalized inputs."""
+        return self.rows[self.ends[..., None] + np.arange(1 - self.lookback, 1)]
+
+    @property
+    def known(self) -> np.ndarray:
+        """(n, horizon, KNOWN_DIM) known-future covariates."""
+        return self.known_rows[self._ahead]
+
+    @property
+    def target(self) -> np.ndarray:
+        """(n, horizon) normalized closes to forecast."""
+        return self.rows[self._ahead, self.close_index]
+
+    @property
+    def anchor(self) -> np.ndarray:
+        """(n,) last observed normalized close."""
+        return self.rows[self.ends, self.close_index]
+
+    @property
+    def target_days(self) -> np.ndarray:
+        return self.days[self._ahead]
+
+    @property
+    def anchor_day(self) -> np.ndarray:
+        return self.days[self.ends]
 
 
 @dataclass
@@ -73,9 +127,10 @@ class Normalizer:
     def normalize(self, company: int, matrix: np.ndarray) -> np.ndarray:
         return (matrix - self.means[company]) / self.stds[company]
 
-    def denormalize_close(self, company: int, values: np.ndarray) -> np.ndarray:
+    def denormalize_close(self, company, values: np.ndarray) -> np.ndarray:
+        """`company` is one index, or an index vector with one entry per row of `values`."""
         idx = self.close_index
-        return np.asarray(values) * self.stds[company][idx] + self.means[company][idx]
+        return np.asarray(values) * self.stds[company, idx, None] + self.means[company, idx, None]
 
     def normalize_close(self, company: int, values: np.ndarray) -> np.ndarray:
         idx = self.close_index
@@ -176,35 +231,29 @@ def windows_from_normalizer(
     normalizer: Normalizer,
     lookback: int,
     horizon: int,
-) -> tuple[list[WindowSample], list[WindowSample]]:
+) -> tuple[Windows, Windows]:
     """Slide stride-1 windows using previously fitted statistics."""
     if [p.ticker for p in panels] != normalizer.tickers:
         raise ValidationError(
             f"panels {[p.ticker for p in panels]} do not match normalizer tickers {normalizer.tickers}"
         )
-    train, test = [], []
-    close_idx = normalizer.close_index
+    rows, known, days, ends, companies, split_rows = [], [], [], [], [], []
+    offset = 0
     for company, panel in enumerate(panels):
-        z = normalizer.normalize(company, panel_matrix(panel, spec))
-        known = known_future_matrix(panel)
-        days = panel.dates()
-        T = len(panel.rows)
-        split_at = normalizer.train_rows[company]
-        for i in range(lookback - 1, T - horizon):
-            sample = WindowSample(
-                company_index=company,
-                past=z[i - lookback + 1 : i + 1],
-                known_future=known[i + 1 : i + 1 + horizon],
-                target=z[i + 1 : i + 1 + horizon, close_idx],
-                anchor_close=float(z[i, close_idx]),
-                target_days=days[i + 1 : i + 1 + horizon],
-                anchor_day=days[i],
-            )
-            if i + horizon <= split_at - 1:
-                train.append(sample)
-            elif i + 1 >= split_at:
-                test.append(sample)
-    return train, test
+        rows.append(normalizer.normalize(company, panel_matrix(panel, spec)))
+        known.append(known_future_matrix(panel))
+        days += panel.dates()
+        last = np.arange(offset + lookback - 1, offset + len(panel.rows) - horizon)
+        ends.append(last)
+        companies.append(np.full(len(last), company, dtype=np.int64))
+        split_rows.append(np.full(len(last), offset + normalizer.train_rows[company]))
+        offset += len(panel.rows)
+    ends, split_at = np.concatenate(ends), np.concatenate(split_rows)
+    windows = Windows(
+        np.concatenate(rows), np.concatenate(known), np.asarray(days, dtype=object),
+        ends, np.concatenate(companies), lookback, horizon, normalizer.close_index,
+    )
+    return windows[ends + horizon < split_at], windows[ends + 1 >= split_at]
 
 
 def build_windows(
@@ -213,7 +262,7 @@ def build_windows(
     lookback: int,
     horizon: int,
     split: float = 0.8,
-) -> tuple[list[WindowSample], list[WindowSample], Normalizer]:
+) -> tuple[Windows, Windows, Normalizer]:
     """Stride-1 windows per company, pooled, with a chronological train/test split.
 
     Train windows have every target row before the split point; test windows

@@ -89,6 +89,25 @@ MALFORMED_CASES = [
 SETTING_IDS = [case[0] for case in SETTING_CASES]
 MALFORMED_IDS = [case[0] for case in MALFORMED_CASES]
 
+# Well-formed but out-of-range optimizer and loss values, NaN included, that
+# TrainConfig.validate must reject: (field and flag name, raw value).
+INVALID_TRAIN_CASES = [
+    ("learning_rate", "nan"),
+    ("dmse_alpha", "nan"),
+    ("beta1", "-0.1"),
+    ("beta1", "1"),
+    ("beta1", "5"),
+    ("beta1", "nan"),
+    ("beta2", "-0.1"),
+    ("beta2", "1"),
+    ("beta2", "5"),
+    ("beta2", "nan"),
+    ("adam_eps", "0"),
+    ("adam_eps", "-1e-8"),
+    ("adam_eps", "nan"),
+]
+INVALID_TRAIN_IDS = [f"{name}={raw}" for name, raw in INVALID_TRAIN_CASES]
+
 
 def latent_sentiment_panels(
     seed: int,

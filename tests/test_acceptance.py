@@ -133,7 +133,7 @@ def test_c03_gradient_checks(capsys):
             h, c = cell.step(lx, h0, c0)
             return (h * h).sum() + c.sum()
 
-        run(f"lstm_step[{seed}]", lstm_loss, [lx, h0, c0] + cell.parameters())
+        run(f"lstm_cell_step[{seed}]", lstm_loss, [lx, h0, c0] + cell.parameters())
 
         mha = MultiHeadAttention(8, 2, "mha", rng)
         ax = Parameter(rng.normal(size=(2, 4, 8)), "ax")
@@ -151,7 +151,7 @@ def test_c03_gradient_checks(capsys):
             combined, _ = vsn(vars_, vctx)
             return (combined * combined).sum()
 
-        run(f"variable_selection[{seed}]", vsn_loss, vars_ + [vctx] + vsn.parameters())
+        run(f"vsn[{seed}]", vsn_loss, vars_ + [vctx] + vsn.parameters())
 
         nlin = NLinear(6, 2, close_col=0, rng=rng, const_init=False)
         nx = Parameter(rng.normal(size=(2, 6)), "nx")

@@ -16,10 +16,7 @@ from senticast.nn import (
     adam_step,
     causal_mask,
     gradcheck,
-    lstm_step,
     rmsnorm,
-    swiglu_ff,
-    variable_selection,
 )
 from senticast.nn.layers import LayerNorm, Linear, dropout
 
@@ -64,32 +61,41 @@ class TestRmsNorm:
             assert report.passed, (seed, report.summary())
 
 
+def swiglu_block(variant: str, w1: np.ndarray, w2: np.ndarray, w3: np.ndarray) -> SwigluFF:
+    """A SwigluFF whose weights are the given arrays (w2 is unused by relu)."""
+    block = SwigluFF(w1.shape[0], w1.shape[1], w3.shape[1], variant, "ff", np.random.default_rng(0))
+    block.w1.data[...] = w1
+    if block.w2 is not None:
+        block.w2.data[...] = w2
+    block.w3.data[...] = w3
+    return block
+
+
 class TestSwiglu:
     def test_zero_input_zero_output_both_variants(self):
         rng = np.random.default_rng(1)
-        w1 = Tensor(rng.normal(size=(4, 6)))
-        w2 = Tensor(rng.normal(size=(4, 6)))
-        w3 = Tensor(rng.normal(size=(6, 2)))
+        w1 = rng.normal(size=(4, 6))
+        w2 = rng.normal(size=(4, 6))
+        w3 = rng.normal(size=(6, 2))
         x = Tensor(np.zeros((1, 4)))
         for variant in ("swiglu", "relu"):
-            assert np.array_equal(swiglu_ff(x, w1, w2, w3, variant).data, np.zeros((1, 2)))
+            assert np.array_equal(swiglu_block(variant, w1, w2, w3)(x).data, np.zeros((1, 2)))
 
     def test_scalar_silu_value(self):
-        one = Tensor(np.ones((1, 1)))
-        out = swiglu_ff(one, one, one, one, "swiglu")
+        one = np.ones((1, 1))
+        out = swiglu_block("swiglu", one, one, one)(Tensor(one))
         assert out.data[0, 0] == pytest.approx(0.731059, abs=1e-6)
 
     def test_relu_cutoff(self):
         x = Tensor(np.ones((1, 3)))
-        w1 = Tensor(-np.ones((3, 5)))  # all pre-activations negative
-        w3 = Tensor(np.ones((5, 2)))
-        out = swiglu_ff(x, w1, w1, w3, "relu")
+        w1 = -np.ones((3, 5))  # all pre-activations negative
+        w3 = np.ones((5, 2))
+        out = swiglu_block("relu", w1, w1, w3)(x)
         assert np.array_equal(out.data, np.zeros((1, 2)))
 
     def test_unknown_variant(self):
-        t = Tensor(np.ones((1, 1)))
         with pytest.raises(ShapeError):
-            swiglu_ff(t, t, t, t, "gelu")
+            SwigluFF(1, 1, 1, "gelu", "ff", np.random.default_rng(0))
 
     def test_gradcheck_both_variants(self):
         for seed in range(10):
@@ -172,7 +178,7 @@ class TestLstm:
         cell = LstmCell(3, 4, "cell", rng)
         zero_params(cell)
         c0 = np.asarray([[0.4, -0.8, 1.2, 0.0]])
-        h, c = lstm_step(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), Tensor(c0), cell)
+        h, c = cell.step(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), Tensor(c0))
         assert np.allclose(c.data, 0.5 * c0)
         assert np.allclose(h.data, 0.5 * np.tanh(0.5 * c0))
 
@@ -278,7 +284,7 @@ class TestVariableSelection:
         rng = np.random.default_rng(17)
         vsn = VariableSelection(1, 4, 6, "vsn", rng)
         var = Tensor(rng.normal(size=(3, 4)))
-        combined, weights = variable_selection(vsn, [var])
+        combined, weights = vsn([var])
         assert np.allclose(weights.data, 1.0, atol=1e-12)
         expected = vsn.var_grns[0](var)
         assert np.allclose(combined.data, expected.data, atol=1e-12)

@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_CASES, MALFORMED_IDS, SETTING_CASES, SETTING_IDS
+from conftest import (
+    INVALID_TRAIN_CASES,
+    INVALID_TRAIN_IDS,
+    MALFORMED_CASES,
+    MALFORMED_IDS,
+    SETTING_CASES,
+    SETTING_IDS,
+)
 from senticast import cli
 from senticast.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, main
 from senticast.text import DailyTextFeatures
@@ -230,6 +237,12 @@ class TestKeyTableOnCli:
         config.write_text(text)
         assert main(argv) == EXIT_VALIDATION
         assert f"{file_key if source == 'file' else name}: expected" in caplog.text
+        assert not dispatched
+
+    @pytest.mark.parametrize("name, raw", INVALID_TRAIN_CASES, ids=INVALID_TRAIN_IDS)
+    def test_out_of_range_value_exits_3_naming_field(self, caplog, dispatched, name, raw):
+        assert main(["train", "--config", FIXTURE_CONFIG, f"{flag(name)}={raw}"]) == EXIT_VALIDATION
+        assert name in caplog.text
         assert not dispatched
 
 

@@ -17,7 +17,6 @@ from senticast.market import (
     min_max_scale,
     parse_ohlcv_csv,
     smooth,
-    squared_return_sum,
 )
 
 CAL = BusinessCalendar()
@@ -207,7 +206,6 @@ class TestDailyReturns:
         returns, sigma = daily_returns_sigma([100.0, 110.0, 99.0])
         assert np.allclose(returns, [0.10, -0.10])
         assert math.isclose(sigma, math.sqrt(0.02), rel_tol=1e-12)
-        assert math.isclose(squared_return_sum([100.0, 110.0, 99.0]), 0.02, rel_tol=1e-12)
 
     def test_single_doubling(self):
         returns, sigma = daily_returns_sigma([1.0, 2.0])

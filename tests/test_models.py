@@ -3,17 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import INVALID_TRAIN_CASES, INVALID_TRAIN_IDS
 from senticast.errors import ConfigError, ShapeError, ValidationError
-from senticast.models import (
-    NLinear,
-    TftLite,
-    TrainConfig,
-    naive_seasonal_forecast,
-    nlinear_forward,
-    tft_lite_forward,
-)
+from senticast.models import NLinear, TftLite, TrainConfig, naive_seasonal_forecast
 from senticast.nn import Tensor
-from senticast.windows import WindowSample
 
 
 class TestTrainConfig:
@@ -47,6 +40,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({"hidden": 4})
 
+    @pytest.mark.parametrize("name, raw", INVALID_TRAIN_CASES, ids=INVALID_TRAIN_IDS)
+    def test_out_of_range_value_rejected(self, name, raw):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: float(raw)}).validate()
+
 
 class TestNaiveSeasonal:
     def test_repeats_last_value(self):
@@ -73,7 +71,7 @@ class TestNLinear:
     def test_const_init_hand_case(self):
         # (x - x_L) averaged + x_L: mean([-2,-1,0]) + 3 = 2
         model = NLinear(3, 1, close_col=4, rng=np.random.default_rng(0), const_init=True)
-        assert nlinear_forward([1.0, 2.0, 3.0], model)[0] == pytest.approx(2.0, abs=1e-12)
+        assert model.forward(Tensor([[1.0, 2.0, 3.0]])).data[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(1)
@@ -156,23 +154,6 @@ class TestTftLite:
         c = model.forward_batch(past, known, company, training=True, rng=np.random.default_rng(10)).data
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_single_sample_wrapper(self):
-        cfg = tiny_config(dropout=0.0)
-        model = TftLite(cfg, n_features=4, n_companies=2, rng=np.random.default_rng(0))
-        rng = np.random.default_rng(5)
-        sample = WindowSample(
-            company_index=1,
-            past=rng.normal(size=(6, 4)),
-            known_future=np.zeros((2, 6)),
-            target=np.zeros(2),
-            anchor_close=0.0,
-        )
-        single = tft_lite_forward(sample, model)
-        batch = model.forward_batch(sample.past[None], sample.known_future[None], np.asarray([1]))
-        assert np.array_equal(single, batch.data[0])
-        with pytest.raises(ConfigError):
-            tft_lite_forward(sample, model, mode="predict")
 
     def test_feature_count_mismatch_rejected(self):
         cfg = tiny_config()

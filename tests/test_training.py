@@ -9,6 +9,7 @@ from senticast.errors import ConfigError, ValidationError
 from senticast.models import TrainConfig
 from senticast.text import AlignedPanel, PanelRow
 from senticast.training import (
+    _validation_split,
     grid_search,
     predict_windows,
     stack_windows,
@@ -178,3 +179,37 @@ class TestGridSearch:
     def test_empty_space_rejected(self):
         with pytest.raises(ValidationError):
             grid_search({}, [linear_panel()], FeatureSetSpec("HLOV"), 0.25)
+
+
+class TestValidationSplit:
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_matches_per_company_tail_split(self, shuffled):
+        panels = [linear_panel(T=90, seed=1), panel_from_closes("TWO", (5.0 + np.arange(70)).tolist())]
+        train, _, _ = build_windows(panels, FeatureSetSpec("HLOV"), 15, 3, 0.8)
+        if shuffled:
+            train = train[np.random.default_rng(0).permutation(len(train))]
+        fit, val = _validation_split(train, 0.25)
+
+        # Reference: group window positions by company, cut each group's tail.
+        by_company: dict[int, list[int]] = {}
+        for k, company in enumerate(train.company.tolist()):
+            by_company.setdefault(company, []).append(k)
+        want_fit, want_val = [], []
+        for company in sorted(by_company):
+            group = by_company[company]
+            n_val = max(1, int(round(0.25 * len(group))))
+            want_fit += group[: len(group) - n_val]
+            want_val += group[len(group) - n_val :]
+        assert np.array_equal(fit.ends, train.ends[want_fit])
+        assert np.array_equal(val.ends, train.ends[want_val])
+        assert np.array_equal(val.company, train.company[want_val])
+
+    def test_fraction_leaving_no_fit_windows_rejected(self):
+        train, _, _ = build_windows([linear_panel(T=30)], FeatureSetSpec("HLOV"), 15, 3, 1.0)
+        with pytest.raises(ValidationError, match="company 0"):
+            _validation_split(train[:1], 0.25)
+
+    def test_empty_set_rejected(self):
+        train, _, _ = build_windows([linear_panel(T=30)], FeatureSetSpec("HLOV"), 15, 3, 1.0)
+        with pytest.raises(ValidationError):
+            _validation_split(train[:0], 0.25)

@@ -13,6 +13,8 @@ from senticast.windows import (
     Normalizer,
     build_windows,
     fit_normalizer,
+    known_future_matrix,
+    panel_matrix,
     windows_from_normalizer,
 )
 
@@ -66,7 +68,7 @@ class TestBuildWindows:
         panel = make_panel("AAA", list(np.linspace(50, 80, 100)))
         train, test, _ = build_windows([panel], FeatureSetSpec("HLOV"), 15, 3, split=1.0)
         assert len(train) == 100 - 15 - 3 + 1 == 83
-        assert test == []
+        assert len(test) == 0
 
     def test_window_count_formula_various_sizes(self):
         for T, L, h in [(30, 5, 2), (60, 15, 3), (45, 10, 5)]:
@@ -123,7 +125,7 @@ class TestBuildWindows:
         panel = make_panel("AAA", list(np.linspace(50, 80, 40)))
         train, _, norm = build_windows([panel], FeatureSetSpec("HLOV"), 15, 3, split=1.0)
         w = train[0]
-        assert w.anchor_close == pytest.approx(w.past[-1, norm.close_index])
+        assert w.anchor == pytest.approx(w.past[-1, norm.close_index])
         assert w.anchor_day < w.target_days[0]
 
     def test_too_short_panel_names_ticker(self):
@@ -142,8 +144,8 @@ class TestBuildWindows:
         panel = make_panel("AAA", list(np.linspace(50, 80, 40)))
         train, _, _ = build_windows([panel], FeatureSetSpec("HLOV"), 15, 3, split=1.0)
         w = train[0]
-        assert w.known_future.shape == (3, 6)
-        assert np.array_equal(w.known_future[:, 1:].sum(axis=1), np.ones(3))
+        assert w.known.shape == (3, 6)
+        assert np.array_equal(w.known[:, 1:].sum(axis=1), np.ones(3))
 
     def test_windows_from_normalizer_reuses_fitted_stats(self):
         panel = make_panel("AAA", list(np.linspace(50, 80, 60)))
@@ -159,3 +161,51 @@ class TestBuildWindows:
         panel = make_panel("AAA", list(np.linspace(50, 80, 40)))
         with pytest.raises(ValidationError):
             build_windows([panel, panel], FeatureSetSpec("HLOV"), 15, 3)
+
+    def test_gathered_fields_match_per_window_slicing(self):
+        a = make_panel("AAA", list(np.linspace(50, 80, 60)), embedding_dim=3, seed=1)
+        b = make_panel("BBB", list(np.linspace(10, 30, 45)), embedding_dim=3, seed=2)
+        spec = FeatureSetSpec("HLOVE", embedding_dim=3)
+        L, h = 15, 3
+        train, test, norm = build_windows([a, b], spec, L, h, split=0.8)
+
+        # Reference: one window at a time, sliced from each company's own arrays.
+        want_train, want_test = [], []
+        for company, panel in enumerate((a, b)):
+            z = norm.normalize(company, panel_matrix(panel, spec))
+            known = known_future_matrix(panel)
+            days = panel.dates()
+            split_at = norm.train_rows[company]
+            for i in range(L - 1, len(panel.rows) - h):
+                sample = (
+                    z[i - L + 1 : i + 1],
+                    known[i + 1 : i + 1 + h],
+                    z[i + 1 : i + 1 + h, norm.close_index],
+                    float(z[i, norm.close_index]),
+                    company,
+                    days[i + 1 : i + 1 + h],
+                    days[i],
+                )
+                if i + h <= split_at - 1:
+                    want_train.append(sample)
+                elif i + 1 >= split_at:
+                    want_test.append(sample)
+
+        assert len(want_train) > 0 and len(want_test) > 0
+        assert {int(c) for c in test.company} == {0, 1}
+        for got, want in ((train, want_train), (test, want_test)):
+            assert len(got) == len(want)
+            fields = (got.past, got.known, got.target, got.anchor, got.company_index, got.target_days, got.anchor_day)
+            for k, expected in enumerate(want):
+                past, known, target, anchor, company, target_days, anchor_day = (f[k] for f in fields)
+                assert np.array_equal(past, expected[0])
+                assert np.array_equal(known, expected[1])
+                assert np.array_equal(target, expected[2])
+                assert anchor == expected[3]
+                assert company == expected[4]
+                assert list(target_days) == expected[5]
+                assert anchor_day == expected[6]
+            for k, window in enumerate(got):  # one window read on its own
+                assert np.array_equal(window.past, want[k][0])
+                assert window.anchor == want[k][3]
+                assert list(window.target_days) == want[k][5]
