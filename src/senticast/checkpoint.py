@@ -1,7 +1,8 @@
 """Versioned, human-readable model checkpoints with exact float round-trips.
 
-The on-disk format is JSON with every float printed at 17 significant
-digits, which reproduces the original double bit-for-bit on load.  Writes
+The on-disk format is compact JSON.  Floats are written as Python's
+shortest round-trip repr, which reads back to the same double; files
+written with 17 significant digits load to the same doubles too.  Writes
 go through a temp file and rename, so a failed save never leaves a partial
 checkpoint behind.
 """
@@ -34,37 +35,6 @@ class ModelCheckpoint:
     tensors: dict[str, np.ndarray]
 
 
-def _emit(obj, out: list[str]) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(value, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format(float(obj), ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise ValidationError(f"cannot serialize {type(obj).__name__} in a checkpoint")
-
-
 def save_checkpoint(
     path: Path | str,
     model,
@@ -93,9 +63,11 @@ def save_checkpoint(
         "normalizer": normalizer.to_dict(),
         "tensors": tensors,
     }
-    out: list[str] = []
-    _emit(doc, out)
-    write_atomic(path, "".join(out) + "\n")
+    try:
+        text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot serialize checkpoint: {exc}") from exc
+    write_atomic(path, text + "\n")
 
 
 def load_checkpoint(path: Path | str) -> ModelCheckpoint:

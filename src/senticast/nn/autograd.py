@@ -1,10 +1,14 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Tensor wraps one array and remembers, while gradients are enabled, the
-primitive op that produced it.  Calling backward() on a scalar output
-topologically orders that record and accumulates gradients into every
-reachable tensor that requires them, each op visited exactly once in
-reverse.  The op set is the minimum the forecasting blocks need.
+A Tensor wraps one array.  While gradients are enabled, the output of an
+op records one edge per input that requires a gradient: the input (in
+`_prev`) and its vector-Jacobian product (in `_vjps`), a map from the
+output's gradient to that input's share of it.  No edge refers to the
+output tensor, so a graph holds no reference cycle and is freed by
+reference counting as soon as its last tensor is dropped.  Calling
+backward() on a scalar output topologically orders the graph and visits
+each op exactly once in reverse, accumulating gradients into its inputs.
+The op set is the minimum the forecasting blocks need.
 """
 
 from __future__ import annotations
@@ -36,14 +40,14 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_vjps")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._backward: Callable[[], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
+        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -75,32 +79,22 @@ class Tensor:
                     stack.append((child, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
+            for parent, vjp in zip(node._prev, node._vjps):
+                _accumulate(parent, vjp(node.grad))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = _wrap(other)
-        out = _result(self.data + other.data, (self, other))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad)
-                _accumulate(other, out.grad)
-            out._backward = backward
-        return out
+        return _result(self.data + other.data, (self, _same), (other, _same))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = _wrap(other)
-        out = _result(self.data * other.data, (self, other))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad * other.data)
-                _accumulate(other, out.grad * self.data)
-            out._backward = backward
-        return out
+        return _result(
+            self.data * other.data, (self, lambda grad: grad * other.data), (other, lambda grad: grad * self.data)
+        )
 
     __rmul__ = __mul__
 
@@ -109,26 +103,18 @@ class Tensor:
 
     def __sub__(self, other):
         other = _wrap(other)
-        out = _result(self.data - other.data, (self, other))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad)
-                _accumulate(other, -out.grad)
-            out._backward = backward
-        return out
+        return _result(self.data - other.data, (self, _same), (other, np.negative))
 
     def __rsub__(self, other):
         return _wrap(other) - self
 
     def __truediv__(self, other):
         other = _wrap(other)
-        out = _result(self.data / other.data, (self, other))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad / other.data)
-                _accumulate(other, -out.grad * self.data / (other.data * other.data))
-            out._backward = backward
-        return out
+        return _result(
+            self.data / other.data,
+            (self, lambda grad: grad / other.data),
+            (other, lambda grad: -grad * self.data / (other.data * other.data)),
+        )
 
     def __rtruediv__(self, other):
         return _wrap(other) / self
@@ -136,40 +122,25 @@ class Tensor:
     def __pow__(self, exponent: float):
         if not isinstance(exponent, (int, float)):
             raise ShapeError("only scalar exponents are supported")
-        out = _result(self.data ** exponent, (self,))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad * exponent * self.data ** (exponent - 1))
-            out._backward = backward
-        return out
+        return _result(self.data ** exponent, (self, lambda grad: grad * exponent * self.data ** (exponent - 1)))
 
     def __matmul__(self, other):
         other = _wrap(other)
-        out = _result(self.data @ other.data, (self, other))
-        if out._backward is _PENDING:
-            def backward():
-                grad = out.grad
-                if self.requires_grad:
-                    ga = grad @ np.swapaxes(other.data, -1, -2)
-                    _accumulate(self, ga)
-                if other.requires_grad:
-                    gb = np.swapaxes(self.data, -1, -2) @ grad
-                    _accumulate(other, gb)
-            out._backward = backward
-        return out
+        return _result(
+            self.data @ other.data,
+            (self, lambda grad: grad @ np.swapaxes(other.data, -1, -2)),
+            (other, lambda grad: np.swapaxes(self.data, -1, -2) @ grad),
+        )
 
     # -- reductions and shape ops -------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        out = _result(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out._backward is _PENDING:
-            def backward():
-                grad = out.grad
-                if axis is not None and not keepdims:
-                    grad = np.expand_dims(grad, axis)
-                _accumulate(self, np.broadcast_to(grad, self.data.shape))
-            out._backward = backward
-        return out
+        def vjp(grad):
+            if axis is not None and not keepdims:
+                grad = np.expand_dims(grad, axis)
+            return np.broadcast_to(grad, self.data.shape)
+
+        return _result(self.data.sum(axis=axis, keepdims=keepdims), (self, vjp))
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -184,111 +155,56 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = _result(self.data.reshape(shape), (self,))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad.reshape(self.data.shape))
-            out._backward = backward
-        return out
+        return _result(self.data.reshape(shape), (self, lambda grad: grad.reshape(self.data.shape)))
 
     def permute(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inverse = tuple(int(np.argsort(axes)[i]) for i in range(len(axes)))
-        out = _result(np.transpose(self.data, axes), (self,))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, np.transpose(out.grad, inverse))
-            out._backward = backward
-        return out
+        return _result(np.transpose(self.data, axes), (self, lambda grad: np.transpose(grad, inverse)))
 
     def __getitem__(self, index):
-        out = _result(self.data[index], (self,))
-        if out._backward is _PENDING:
-            def backward():
-                buf = np.zeros_like(self.data)
-                np.add.at(buf, index, out.grad)
-                _accumulate(self, buf)
-            out._backward = backward
-        return out
+        def vjp(grad):
+            buf = np.zeros_like(self.data)
+            np.add.at(buf, index, grad)
+            return buf
+
+        return _result(self.data[index], (self, vjp))
 
     def repeat_rows(self, count: int):
         """Repeat each leading-axis row `count` times (backward sums the copies)."""
-        out = _result(np.repeat(self.data, count, axis=0), (self,))
-        if out._backward is _PENDING:
-            def backward():
-                folded = out.grad.reshape(self.data.shape[0], count, *self.data.shape[1:])
-                _accumulate(self, folded.sum(axis=1))
-            out._backward = backward
-        return out
+        rows, rest = self.data.shape[0], self.data.shape[1:]
+        return _result(
+            np.repeat(self.data, count, axis=0), (self, lambda grad: grad.reshape(rows, count, *rest).sum(axis=1))
+        )
 
     # -- nonlinearities -------------------------------------------------------
 
-    def exp(self):
-        value = np.exp(self.data)
-        out = _result(value, (self,))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad * value)
-            out._backward = backward
-        return out
-
     def tanh(self):
         value = np.tanh(self.data)
-        out = _result(value, (self,))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad * (1.0 - value * value))
-            out._backward = backward
-        return out
+        return _result(value, (self, lambda grad: grad * (1.0 - value * value)))
 
     def sigmoid(self):
         value = _sigmoid(self.data)
-        out = _result(value, (self,))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad * value * (1.0 - value))
-            out._backward = backward
-        return out
+        return _result(value, (self, lambda grad: grad * value * (1.0 - value)))
 
     def relu(self):
-        value = np.maximum(self.data, 0.0)
-        out = _result(value, (self,))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad * (self.data > 0.0))
-            out._backward = backward
-        return out
-
-    def elu(self):
-        value = np.where(self.data > 0.0, self.data, np.expm1(self.data))
-        out = _result(value, (self,))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad * np.where(self.data > 0.0, 1.0, value + 1.0))
-            out._backward = backward
-        return out
+        return _result(np.maximum(self.data, 0.0), (self, lambda grad: grad * (self.data > 0.0)))
 
     def silu(self):
         sig = _sigmoid(self.data)
-        out = _result(self.data * sig, (self,))
-        if out._backward is _PENDING:
-            def backward():
-                _accumulate(self, out.grad * (sig + self.data * sig * (1.0 - sig)))
-            out._backward = backward
-        return out
+        return _result(self.data * sig, (self, lambda grad: grad * (sig + self.data * sig * (1.0 - sig))))
 
     def softmax(self, axis: int = -1):
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         exps = np.exp(shifted)
         value = exps / exps.sum(axis=axis, keepdims=True)
-        out = _result(value, (self,))
-        if out._backward is _PENDING:
-            def backward():
-                inner = (out.grad * value).sum(axis=axis, keepdims=True)
-                _accumulate(self, (out.grad - inner) * value)
-            out._backward = backward
-        return out
+
+        def vjp(grad):
+            inner = (grad * value).sum(axis=axis, keepdims=True)
+            return (grad - inner) * value
+
+        return _result(value, (self, vjp))
 
 
 class Parameter(Tensor):
@@ -306,16 +222,14 @@ class Parameter(Tensor):
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
-    out = _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out._backward is _PENDING:
-        sizes = [t.data.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
-        def backward():
-            pieces = np.split(out.grad, splits, axis=axis)
-            for tensor, piece in zip(tensors, pieces):
-                _accumulate(tensor, piece)
-        out._backward = backward
-    return out
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    lead = (slice(None),) * (axis % data.ndim)
+    edges, start = [], 0
+    for tensor in tensors:
+        stop = start + tensor.data.shape[axis]
+        edges.append((tensor, lambda grad, part=lead + (slice(start, stop),): grad[part]))
+        start = stop
+    return _result(data, *edges)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -325,32 +239,29 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 
 # -- internals ----------------------------------------------------------------
 
-_PENDING = object()
+def _same(grad: np.ndarray) -> np.ndarray:
+    return grad
 
 
 def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _result(data: np.ndarray, inputs: tuple[Tensor, ...]) -> Tensor:
+def _result(data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """The output of an op; each edge is (input, vjp), kept while recording if the input needs a gradient."""
     out = Tensor(data)
-    if _recording() and any(t.requires_grad for t in inputs):
+    edges = [edge for edge in edges if edge[0].requires_grad] if _recording() else []
+    if edges:
         out.requires_grad = True
-        out._prev = tuple(t for t in inputs if t.requires_grad)
-        out._backward = _PENDING  # replaced by the caller's closure
+        out._prev, out._vjps = zip(*edges)
     return out
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
     # Accumulation always rebinds (never writes in place), so sharing the
     # incoming array on first touch is safe.
-    if not tensor.requires_grad:
-        return
     grad = _unbroadcast(grad, tensor.data.shape)
-    if tensor.grad is None:
-        tensor.grad = grad
-    else:
-        tensor.grad = tensor.grad + grad
+    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -142,7 +142,7 @@ class Normalizer:
             "columns": list(self.columns),
             "means": [[float(v) for v in row] for row in self.means],
             "stds": [[float(v) for v in row] for row in self.stds],
-            "train_rows": list(self.train_rows),
+            "train_rows": [int(v) for v in self.train_rows],
         }
 
     @classmethod

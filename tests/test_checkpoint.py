@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,25 @@ class TestRoundTrip:
         save_checkpoint(p1, model, cfg, spec, normalizer, n_companies=2)
         save_checkpoint(p2, model, cfg, spec, normalizer, n_companies=2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_with_17_digit_floats_loads_exactly(self, tmp_path):
+        # Version-1 files were written with every float at 17 significant
+        # digits; those still load to the doubles that were saved.
+        model, cfg, spec, normalizer = make_parts()
+        model.parameters()[0].data.reshape(-1)[0] = 0.1
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model, cfg, spec, normalizer, n_companies=2)
+        number = re.compile(r"(?<=[\[,:])-?\d[\d.eE+-]*(?=[,\]}])")  # ints come back unchanged
+        text = number.sub(lambda m: format(float(m.group()), ".17g"), path.read_text())
+        assert "0.10000000000000001" in text
+        path.write_text(text)
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.format_version == 1
+        assert checkpoint.config == cfg
+        assert np.array_equal(checkpoint.normalizer.means, normalizer.means)
+        assert np.array_equal(checkpoint.normalizer.stds, normalizer.stds)
+        for p in model.parameters():
+            assert np.array_equal(checkpoint.tensors[p.name], p.data)
 
 
 class TestCorruption:

@@ -55,6 +55,22 @@ class TestPrerequisites:
         assert run("preprocess", tmp_path / "out", "--hidden-size", "31") == EXIT_VALIDATION
 
 
+class TestUsageErrors:
+    # argparse's own exit status for a usage error is 2, which would read as
+    # a missing artifact; main reports usage errors as validation failures.
+    @pytest.mark.parametrize(
+        "extra", [("--adam-eps", "-1e-8"), ("--no-such-flag", "1")], ids=["negative-exponent-word", "unknown-flag"]
+    )
+    def test_usage_error_exits_3(self, tmp_path, capsys, extra):
+        assert run("train", tmp_path / "out", *extra) == EXIT_VALIDATION
+        assert extra[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["train", "--help"]) == EXIT_OK
+        assert "--adam-eps" in capsys.readouterr().out
+
+
 class TestFullPipeline:
     def test_all_stages_produce_artifacts(self, tmp_path):
         out = tmp_path / "out"
