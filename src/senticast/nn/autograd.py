@@ -14,29 +14,25 @@ The op set is the minimum the forecasting blocks need.
 from __future__ import annotations
 
 import contextlib
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..errors import ShapeError
 
-_state = threading.local()  # graph recording is toggled per thread
-
-
-def _recording() -> bool:
-    return getattr(_state, "grad_enabled", True)
+_recording = True  # process-wide: no_grad turns it off for every thread
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording inside the block (forward-only evaluation)."""
-    previous = _recording()
-    _state.grad_enabled = False
+    global _recording
+    previous = _recording
+    _recording = False
     try:
         yield
     finally:
-        _state.grad_enabled = previous
+        _recording = previous
 
 
 class Tensor:
@@ -166,7 +162,10 @@ class Tensor:
     def __getitem__(self, index):
         def vjp(grad):
             buf = np.zeros_like(self.data)
-            np.add.at(buf, index, grad)
+            if _is_basic(index):  # selects each element at most once
+                buf[index] = grad
+            else:  # a fancy index can repeat a row, so its copies add up
+                np.add.at(buf, index, grad)
             return buf
 
         return _result(self.data[index], (self, vjp))
@@ -239,6 +238,14 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 
 # -- internals ----------------------------------------------------------------
 
+_BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
+
+
+def _is_basic(index) -> bool:
+    """True for an int, slice, Ellipsis or None, alone or in a tuple."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(part, _BASIC_INDEX) for part in parts)
+
 def _same(grad: np.ndarray) -> np.ndarray:
     return grad
 
@@ -250,7 +257,7 @@ def _wrap(value) -> Tensor:
 def _result(data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
     """The output of an op; each edge is (input, vjp), kept while recording if the input needs a gradient."""
     out = Tensor(data)
-    edges = [edge for edge in edges if edge[0].requires_grad] if _recording() else []
+    edges = [edge for edge in edges if edge[0].requires_grad] if _recording else []
     if edges:
         out.requires_grad = True
         out._prev, out._vjps = zip(*edges)
@@ -276,9 +283,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; each branch is the stable form for its sign.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
