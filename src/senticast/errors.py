@@ -58,3 +58,7 @@ class MissingArtifactError(SenticastError):
 
 class TrainingError(SenticastError):
     """Non-finite loss or gradient during optimization."""
+
+
+class GraphReuseError(SenticastError):
+    """backward() through a graph whose gradients were already propagated."""

@@ -7,8 +7,10 @@ output's gradient to that input's share of it.  No edge refers to the
 output tensor, so a graph holds no reference cycle and is freed by
 reference counting as soon as its last tensor is dropped.  Calling
 backward() on a scalar output topologically orders the graph and visits
-each op exactly once in reverse, accumulating gradients into its inputs.
-The op set is the minimum the forecasting blocks need.
+each op exactly once in reverse, accumulating gradients into its inputs;
+a second call on the same graph raises instead of adding the gradients
+again.  The op set is the minimum the forecasting blocks need, with one
+LSTM layer over a whole sequence as a single op.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import GraphReuseError, ShapeError
 
 _recording = True  # process-wide: no_grad turns it off for every thread
 
@@ -68,6 +70,10 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._prev and node.grad is not None:
+                raise GraphReuseError(
+                    "backward() through a graph that was already backpropagated; rebuild it from its inputs"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for child in node._prev:
@@ -229,6 +235,87 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         edges.append((tensor, lambda grad, part=lead + (slice(start, stop),): grad[part]))
         start = stop
     return _result(data, *edges)
+
+
+def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor:
+    """One LSTM layer over a whole (batch, time, features) sequence, as one op.
+
+    Gates sit along the 4*hidden axis as [input, forget, candidate, output]
+    and the state starts at zero.  The forward adds x @ w_x + bias for all
+    timesteps to h @ w_h step by step: the same expressions, in the same
+    order, as the per-step composition of matmul, slice, sigmoid and tanh
+    ops, so it gives the same bits.  The backward runs backpropagation
+    through time once per incoming gradient; the four input edges share its
+    gate gradients.
+    """
+    x, wx, wh = seq.data, w_x.data, w_h.data
+    hd = wh.shape[0]
+    if x.ndim != 3 or wx.shape != (x.shape[-1], 4 * hd) or wh.shape != (hd, 4 * hd) or bias.shape != (4 * hd,):
+        raise ShapeError(f"lstm layer dims: input {x.shape}, w_x {wx.shape}, bias {bias.shape}, w_h {wh.shape}")
+    batch, steps, _ = x.shape
+    xw = x @ wx + bias.data
+    gates = np.empty((batch, steps, 4 * hd))  # activated: sigmoid, tanh for the candidate
+    tanh_c = np.empty((batch, steps, hd))
+    cells = np.empty((batch, steps, hd))
+    out = np.empty((batch, steps, hd))
+    h = np.zeros((batch, hd))
+    c = np.zeros((batch, hd))
+    for t in range(steps):
+        z = xw[:, t] + h @ wh
+        gate = gates[:, t]
+        gate[...] = _sigmoid(z)
+        gate[:, 2 * hd : 3 * hd] = np.tanh(z[:, 2 * hd : 3 * hd])
+        c = gate[:, hd : 2 * hd] * c + gate[:, :hd] * gate[:, 2 * hd : 3 * hd]
+        cells[:, t] = c
+        tanh_c[:, t] = np.tanh(c)
+        h = gate[:, 3 * hd :] * tanh_c[:, t]
+        out[:, t] = h
+
+    def bptt(grad: np.ndarray) -> np.ndarray:
+        """Gradient of the gate pre-activations, (batch, steps, 4*hidden)."""
+        local = gates * (1.0 - gates)
+        candidate = gates[..., 2 * hd : 3 * hd]
+        local[..., 2 * hd : 3 * hd] = 1.0 - candidate * candidate
+        c_prev = np.concatenate([np.zeros((batch, 1, hd)), cells[:, :-1]], axis=1)
+        # d z = [dc, dc, dc, dh] * partner * local, per gate block
+        partner = np.concatenate([candidate, c_prev, gates[..., :hd], tanh_c], axis=-1) * local
+        through = gates[..., 3 * hd :] * (1.0 - tanh_c * tanh_c)  # dc/dh within a step
+        forget = gates[..., hd : 2 * hd]
+        dz = np.empty((batch, steps, 4 * hd))
+        upstream = np.empty((batch, 4, hd))
+        dh_next = np.zeros((batch, hd))
+        carry = np.zeros((batch, hd))  # dc reaching step t from step t + 1
+        for t in reversed(range(steps)):
+            dh = grad[:, t] + dh_next
+            dc = dh * through[:, t] + carry
+            upstream[:, :3] = dc[:, None]
+            upstream[:, 3] = dh
+            np.multiply(upstream.reshape(batch, 4 * hd), partner[:, t], out=dz[:, t])
+            carry = dc * forget[:, t]
+            dh_next = dz[:, t] @ wh.T
+        return dz
+
+    cached: list[np.ndarray] = []
+
+    def gate_grads(grad: np.ndarray) -> np.ndarray:
+        if not cached or cached[0] is not grad:
+            cached[:] = [grad, bptt(grad)]
+        return cached[1]
+
+    def flat(a: np.ndarray) -> np.ndarray:
+        return a.reshape(batch * steps, a.shape[-1])
+
+    def w_h_grad(grad: np.ndarray) -> np.ndarray:
+        h_prev = np.concatenate([np.zeros((batch, 1, hd)), out[:, :-1]], axis=1)
+        return flat(h_prev).T @ flat(gate_grads(grad))
+
+    return _result(
+        out,
+        (seq, lambda grad: gate_grads(grad) @ wx.T),
+        (w_x, lambda grad: flat(x).T @ flat(gate_grads(grad))),
+        (bias, lambda grad: gate_grads(grad).sum(axis=(0, 1))),
+        (w_h, w_h_grad),
+    )
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

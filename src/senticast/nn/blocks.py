@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .autograd import Parameter, Tensor, concat
+from .autograd import Parameter, Tensor, concat, lstm_sequence
 from .layers import Linear, SwigluFF, dropout, make_norm
 
 MASKED_SCORE = -1e30
@@ -100,34 +100,19 @@ class GatedResidualNetwork:
 
 
 class LstmCell:
+    """The weights of one LSTM layer: input and recurrent maps onto the four gates."""
+
     def __init__(self, d_in: int, hidden: int, name: str, rng: np.random.Generator):
-        self.d_in = d_in
         self.hidden = hidden
         self.wx = Linear(d_in, 4 * hidden, f"{name}.wx", rng)
         self.wh = Linear(hidden, 4 * hidden, f"{name}.wh", rng, bias=False)
-
-    def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        if x.shape[-1] != self.d_in or h_prev.shape[-1] != self.hidden or c_prev.shape[-1] != self.hidden:
-            raise ShapeError(
-                f"lstm step dims: x {x.shape[-1]} (want {self.d_in}), "
-                f"state {h_prev.shape[-1]}/{c_prev.shape[-1]} (want {self.hidden})"
-            )
-        z = self.wx(x) + self.wh(h_prev)
-        hd = self.hidden
-        gate_in = z[..., :hd].sigmoid()
-        gate_forget = z[..., hd : 2 * hd].sigmoid()
-        candidate = z[..., 2 * hd : 3 * hd].tanh()
-        gate_out = z[..., 3 * hd :].sigmoid()
-        c = gate_forget * c_prev + gate_in * candidate
-        h = gate_out * c.tanh()
-        return h, c
 
     def parameters(self) -> list[Parameter]:
         return self.wx.parameters() + self.wh.parameters()
 
 
 class LstmEncoder:
-    """Stacked unidirectional LSTM over (batch, time, features)."""
+    """Stacked unidirectional LSTM over (batch, time, features), one op per layer."""
 
     def __init__(self, d_in: int, hidden: int, layers: int, name: str, rng: np.random.Generator):
         if layers < 1:
@@ -139,17 +124,9 @@ class LstmEncoder:
         self.hidden = hidden
 
     def __call__(self, seq: Tensor) -> Tensor:
-        batch, steps = seq.shape[0], seq.shape[1]
-        current = seq
         for cell in self.cells:
-            h = Tensor(np.zeros((batch, self.hidden)))
-            c = Tensor(np.zeros((batch, self.hidden)))
-            outputs = []
-            for t in range(steps):
-                h, c = cell.step(current[:, t, :], h, c)
-                outputs.append(h.reshape(batch, 1, self.hidden))
-            current = concat(outputs, axis=1)
-        return current
+            seq = lstm_sequence(seq, cell.wx.weight, cell.wx.bias, cell.wh.weight)
+        return seq
 
     def parameters(self) -> list[Parameter]:
         return [p for cell in self.cells for p in cell.parameters()]
@@ -184,12 +161,6 @@ class MultiHeadAttention:
         mask: np.ndarray | None = None,
         return_weights: bool = False,
     ):
-        squeeze = False
-        if len(queries.shape) == 2:
-            squeeze = True
-            queries = queries.reshape(1, *queries.shape)
-            keys = keys.reshape(1, *keys.shape)
-            values = values.reshape(1, *values.shape)
         batch, len_q = queries.shape[0], queries.shape[1]
         len_k = keys.shape[1]
 
@@ -205,8 +176,6 @@ class MultiHeadAttention:
         weights = scores.softmax(axis=-1)
         attended = (weights @ v).permute(0, 2, 1, 3).reshape(batch, len_q, self.hidden)
         out = self.proj_out(attended)
-        if squeeze:
-            out = out.reshape(len_q, self.hidden)
         if return_weights:
             return out, weights
         return out

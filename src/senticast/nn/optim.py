@@ -6,7 +6,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import TrainingError, ValidationError
+from ..errors import TrainingError
 from .autograd import Parameter
 
 
@@ -18,8 +18,6 @@ def adam_step(
     eps: float = 1e-8,
 ) -> None:
     """One in-place update per parameter from its accumulated gradient."""
-    if lr <= 0:
-        raise ValidationError(f"learning rate must be positive, got {lr}")
     for p in params:
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(grad).all():

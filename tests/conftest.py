@@ -181,3 +181,31 @@ def tft_gradcheck_fixture(seed: int, batch: int = 1):
     weights = directional_weights(truth, pred0, anchor, 1e3)
     assert (weights == 1.0).all(), "fixture must sit away from the direction boundary"
     return model, past, known, company, truth, anchor
+
+
+def lstm_unrolled(encoder, seq):
+    """The per-step LSTM composition that `lstm_sequence` fuses: the oracle.
+
+    Each layer slices one timestep at a time, maps it and the previous
+    hidden state onto the four gates, and concatenates the hidden states.
+    """
+    from senticast.nn import Tensor, concat
+
+    batch, steps = seq.shape[0], seq.shape[1]
+    current = seq
+    for cell in encoder.cells:
+        hd = cell.hidden
+        h = Tensor(np.zeros((batch, hd)))
+        c = Tensor(np.zeros((batch, hd)))
+        outputs = []
+        for t in range(steps):
+            z = cell.wx(current[:, t, :]) + cell.wh(h)
+            gate_in = z[..., :hd].sigmoid()
+            gate_forget = z[..., hd : 2 * hd].sigmoid()
+            candidate = z[..., 2 * hd : 3 * hd].tanh()
+            gate_out = z[..., 3 * hd :].sigmoid()
+            c = gate_forget * c + gate_in * candidate
+            h = gate_out * c.tanh()
+            outputs.append(h.reshape(batch, 1, hd))
+        current = concat(outputs, axis=1)
+    return current

@@ -23,7 +23,7 @@ from senticast.metrics import compute_metrics
 from senticast.models import NLinear, TrainConfig
 from senticast.nn import (
     GatedResidualNetwork,
-    LstmCell,
+    LstmEncoder,
     MultiHeadAttention,
     Parameter,
     SwigluFF,
@@ -124,16 +124,10 @@ def test_c03_gradient_checks(capsys):
         coeff = Tensor(rng.normal(size=(2, 4)))
         run(f"grn[{seed}]", lambda: (grn(gx, gctx) * coeff).sum(), [gx, gctx] + grn.parameters())
 
-        cell = LstmCell(3, 4, "cell", rng)
-        lx = Parameter(rng.normal(size=(2, 3)), "lx")
-        h0 = Parameter(rng.normal(size=(2, 4)), "h0")
-        c0 = Parameter(rng.normal(size=(2, 4)), "c0")
-
-        def lstm_loss():
-            h, c = cell.step(lx, h0, c0)
-            return (h * h).sum() + c.sum()
-
-        run(f"lstm_cell_step[{seed}]", lstm_loss, [lx, h0, c0] + cell.parameters())
+        lstm = LstmEncoder(3, 4, 1, "lstm", rng)
+        lx = Parameter(rng.normal(size=(2, 4, 3)), "lx")
+        lcoeff = Tensor(rng.normal(size=(2, 4, 4)))
+        run(f"lstm_encoder[{seed}]", lambda: (lstm(lx) * lcoeff).sum(), [lx] + lstm.parameters())
 
         mha = MultiHeadAttention(8, 2, "mha", rng)
         ax = Parameter(rng.normal(size=(2, 4, 8)), "ax")

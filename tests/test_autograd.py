@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import gc
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import tft_gradcheck_fixture
-from senticast.errors import ShapeError
+from senticast.errors import GraphReuseError, ShapeError
 from senticast.losses import mse_loss_batch
 from senticast.nn import Parameter, Tensor, concat, gradcheck, no_grad, zero_grads
+from senticast.nn.autograd import _sigmoid
 
 
 def test_diamond_graph_accumulates_both_paths():
@@ -27,6 +29,27 @@ def test_each_op_visited_once_in_reverse():
     z = (shared * shared).sum()
     z.backward()
     assert x.grad.tolist() == [32.0]
+
+
+def test_second_backward_raises_and_keeps_gradients():
+    x = Parameter(np.asarray([2.0]), "x")
+    y = x * x
+    z = (y * y).sum()
+    z.backward()
+    assert x.grad.tolist() == [32.0]
+    with pytest.raises(GraphReuseError):
+        z.backward()
+    assert x.grad.tolist() == [32.0]
+
+
+def test_backward_through_a_used_subgraph_raises():
+    x = Parameter(np.asarray([1.5, -0.5]), "x")
+    shared = x * x
+    (shared * 2.0).sum().backward()
+    first = x.grad.copy()
+    with pytest.raises(GraphReuseError):
+        (shared * 3.0).sum().backward()
+    assert np.array_equal(x.grad, first)
 
 
 def test_backward_requires_scalar():
@@ -57,6 +80,17 @@ def test_getitem_fancy_index_accumulates_repeats():
     out = table[idx].sum()
     out.backward()
     assert table.grad.tolist() == [[2.0, 2.0], [1.0, 1.0], [0.0, 0.0]]
+
+
+def test_basic_index_gradient_lands_in_place():
+    x = Parameter(np.arange(24.0).reshape(2, 3, 4), "x")
+    for index in (1, (slice(None), 2), (Ellipsis, slice(1, 3)), (0, None, slice(None), -1), np.int64(1)):
+        zero_grads([x])
+        part = x[index]
+        (part * Tensor(np.full(part.shape, 3.0))).sum().backward()
+        expected = np.zeros_like(x.data)
+        expected[index] = 3.0
+        assert np.array_equal(x.grad, expected), index
 
 
 def test_slice_and_concat_roundtrip_gradient():
@@ -124,6 +158,29 @@ def test_no_grad_suppresses_graph():
         out = (x * 2.0).sum()
     assert out.requires_grad is False
     assert out._prev == ()
+
+
+def test_no_grad_holds_for_every_thread():
+    x = Parameter(np.ones(3), "x")
+    outs = []
+    with no_grad():
+        worker = threading.Thread(target=lambda: outs.append((x * 2.0).sum()))
+        worker.start()
+        worker.join()
+    assert outs[0].requires_grad is False
+    assert (x * 2.0).requires_grad is True
+
+
+def test_sigmoid_matches_masked_scatter_form():
+    x = np.random.default_rng(6).normal(size=(40, 9)) * 30.0
+    x[0, :6] = [np.nan, np.inf, -np.inf, 0.0, -0.0, -800.0]
+    reference = np.empty_like(x)
+    pos = x >= 0
+    reference[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    reference[~pos] = ex / (1.0 + ex)
+    for view, expected in ((x, reference), (x[:, 2:7], reference[:, 2:7]), (x.T, reference.T)):
+        assert np.array_equal(_sigmoid(view), expected, equal_nan=True)
 
 
 def test_zero_grads_clears():

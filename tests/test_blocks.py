@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import lstm_unrolled
 from senticast.errors import ConfigError, ShapeError, TrainingError
 from senticast.nn import (
     GatedResidualNetwork,
-    LstmCell,
     LstmEncoder,
     MultiHeadAttention,
     Parameter,
@@ -17,6 +17,7 @@ from senticast.nn import (
     causal_mask,
     gradcheck,
     rmsnorm,
+    zero_grads,
 )
 from senticast.nn.layers import LayerNorm, Linear, dropout
 
@@ -174,51 +175,76 @@ class TestGrn:
 
 class TestLstm:
     def test_zero_parameters_force_half_gates(self):
+        # Zero weights and gate biases put the input, forget and output gates
+        # at 0.5 on every step, so with candidate g = tanh(b_g) the cell state
+        # is c_t = 0.5 c_{t-1} + 0.5 g = g (1 - 0.5^t) and h_t = 0.5 tanh(c_t).
         rng = np.random.default_rng(8)
-        cell = LstmCell(3, 4, "cell", rng)
-        zero_params(cell)
-        c0 = np.asarray([[0.4, -0.8, 1.2, 0.0]])
-        h, c = cell.step(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), Tensor(c0))
-        assert np.allclose(c.data, 0.5 * c0)
-        assert np.allclose(h.data, 0.5 * np.tanh(0.5 * c0))
+        enc = LstmEncoder(3, 4, layers=1, name="enc", rng=rng)
+        zero_params(enc)
+        b_g = np.asarray([0.4, -0.8, 1.2, 0.0])
+        enc.cells[0].wx.bias.data[8:12] = b_g
+        out = enc(Tensor(rng.normal(size=(2, 5, 3))))
+        c = np.tanh(b_g) * (1.0 - 0.5 ** np.arange(1, 6))[:, None]
+        assert np.allclose(out.data, 0.5 * np.tanh(c), atol=1e-15)
 
     def test_zero_state_zero_params_stays_zero(self):
         rng = np.random.default_rng(9)
-        cell = LstmCell(2, 3, "cell", rng)
-        zero_params(cell)
-        h, c = cell.step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
-        assert np.array_equal(h.data, np.zeros((1, 3)))
-        assert np.array_equal(c.data, np.zeros((1, 3)))
+        enc = LstmEncoder(2, 3, layers=2, name="enc", rng=rng)
+        zero_params(enc)
+        out = enc(Tensor(np.zeros((1, 4, 2))))
+        assert np.array_equal(out.data, np.zeros((1, 4, 3)))
 
     def test_hidden_state_bounded_by_one(self):
         rng = np.random.default_rng(10)
-        cell = LstmCell(4, 6, "cell", rng)
-        h = Tensor(np.zeros((5, 6)))
-        c = Tensor(np.zeros((5, 6)))
-        for _ in range(30):
-            h, c = cell.step(Tensor(rng.normal(size=(5, 4)) * 3), h, c)
-        assert np.all(np.abs(h.data) < 1.0)
+        enc = LstmEncoder(4, 6, layers=1, name="enc", rng=rng)
+        out = enc(Tensor(rng.normal(size=(5, 30, 4)) * 3))
+        assert np.all(np.abs(out.data) < 1.0)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(11)
-        cell = LstmCell(3, 4, "cell", rng)
+        enc = LstmEncoder(3, 4, layers=1, name="enc", rng=rng)
         with pytest.raises(ShapeError):
-            cell.step(Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
+            enc(Tensor(np.ones((1, 5, 2))))
+        with pytest.raises(ShapeError):
+            enc(Tensor(np.ones((5, 3))))
 
     def test_gradcheck_over_seeds(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            cell = LstmCell(3, 4, "cell", rng)
-            x = Parameter(rng.normal(size=(2, 3)), "x")
-            h0 = Parameter(rng.normal(size=(2, 4)), "h0")
-            c0 = Parameter(rng.normal(size=(2, 4)), "c0")
-
-            def f():
-                h, c = cell.step(x, h0, c0)
-                return (h * h).sum() + c.sum()
-
-            report = gradcheck(f, [x, h0, c0] + cell.parameters())
+            enc = LstmEncoder(3, 4, layers=2, name="enc", rng=rng)
+            x = Parameter(rng.normal(size=(2, 4, 3)), "x")
+            coeff = Tensor(rng.normal(size=(2, 4, 4)))
+            report = gradcheck(lambda: (enc(x) * coeff).sum(), [x] + enc.parameters())
             assert report.passed, (seed, report.summary())
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_forward_is_bit_identical_to_unrolled_steps(self, layers):
+        for batch, steps in ((1, 1), (3, 6), (32, 15), (512, 15)):
+            rng = np.random.default_rng(batch + layers)
+            enc = LstmEncoder(16, 16, layers=layers, name="enc", rng=rng)
+            seq = Tensor(rng.normal(size=(batch, steps, 16)) * 2.0)
+            assert np.array_equal(enc(seq).data, lstm_unrolled(enc, seq).data), (batch, steps)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_gradients_match_unrolled_steps(self, layers):
+        rng = np.random.default_rng(30 + layers)
+        enc = LstmEncoder(5, 6, layers=layers, name="enc", rng=rng)
+        x = Parameter(rng.normal(size=(4, 7, 5)), "x")
+        coeff = Tensor(rng.normal(size=(4, 7, 6)))
+        params = [x] + enc.parameters()
+        grads = []
+        for forward in (enc, lambda seq: lstm_unrolled(enc, seq)):
+            zero_grads(params)
+            (forward(x) * coeff).sum().backward()
+            grads.append([p.grad for p in params])
+        for p, fused, unrolled in zip(params, *grads):
+            assert np.max(np.abs(fused - unrolled)) <= 1e-12 * np.max(np.abs(unrolled)), p.name
+
+    def test_input_without_gradient_still_trains_weights(self):
+        rng = np.random.default_rng(33)
+        enc = LstmEncoder(3, 4, layers=1, name="enc", rng=rng)
+        (enc(Tensor(rng.normal(size=(2, 5, 3)))) ** 2).sum().backward()
+        assert all(p.grad is not None and p.grad.shape == p.data.shape for p in enc.parameters())
 
     def test_stacked_encoder_shapes(self):
         rng = np.random.default_rng(12)
@@ -260,13 +286,6 @@ class TestAttention:
     def test_head_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             MultiHeadAttention(6, 4, "attn", np.random.default_rng(0))
-
-    def test_two_dim_inputs_round_trip(self):
-        rng = np.random.default_rng(16)
-        mha = MultiHeadAttention(8, 2, "attn", rng)
-        x = Tensor(rng.normal(size=(5, 8)))
-        out = mha(x, x, x)
-        assert out.shape == (5, 8)
 
     def test_gradcheck_over_seeds(self):
         for seed in range(10):

@@ -137,6 +137,28 @@ class TestTftLite:
         out = model.forward_batch(past, known, company)
         assert np.array_equal(out.data, np.zeros((3, 2)))
 
+    def test_parameter_names_and_order(self):
+        # Checkpoints store parameters by these names, in this order.
+        cfg = TrainConfig(lookback=6, horizon=2, hidden_size=8, n_heads=2, hidden_continuous_size=4, lstm_layers=2)
+        model = TftLite(cfg, n_features=2, n_companies=2, rng=np.random.default_rng(0))
+        grn = ["fc1.weight", "fc1.bias", "gate.weight", "gate.bias", "skip.weight", "norm.gain"]
+        expected = (
+            ["tft.static.embedding"]
+            + [f"tft.varproj{i}.{p}" for i in range(2) for p in ("weight", "bias")]
+            + ["tft.vsn.flat.fc1.weight", "tft.vsn.flat.fc1.bias", "tft.vsn.flat.ctx.weight"]
+            + ["tft.vsn.flat.gate.weight", "tft.vsn.flat.gate.bias", "tft.vsn.flat.skip.weight", "tft.vsn.flat.norm.gain"]
+            + [f"tft.vsn.var{i}.{p}" for i in range(2) for p in grn]
+            + [f"tft.lstm.layer{i}.{p}" for i in range(2) for p in ("wx.weight", "wx.bias", "wh.weight")]
+            + ["tft.enrich.fc1.weight", "tft.enrich.fc1.bias", "tft.enrich.ctx.weight"]
+            + ["tft.enrich.gate.weight", "tft.enrich.gate.bias", "tft.enrich.norm.gain"]
+            + ["tft.attn.q.weight", "tft.attn.q.bias", "tft.attn.k.weight", "tft.attn.v.weight", "tft.attn.v.bias"]
+            + ["tft.attn.out.weight", "tft.attn.out.bias"]
+            + ["tft.posff.ff.w1", "tft.posff.ff.w2", "tft.posff.ff.w3"]
+            + ["tft.posff.gate.weight", "tft.posff.gate.bias", "tft.posff.norm.gain"]
+            + ["tft.head.weight", "tft.head.bias"]
+        )
+        assert [p.name for p in model.parameters()] == expected
+
     def test_eval_forward_is_deterministic(self):
         cfg = tiny_config()
         model = TftLite(cfg, n_features=4, n_companies=2, rng=np.random.default_rng(0))
