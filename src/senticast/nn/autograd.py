@@ -253,16 +253,15 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor
     if x.ndim != 3 or wx.shape != (x.shape[-1], 4 * hd) or wh.shape != (hd, 4 * hd) or bias.shape != (4 * hd,):
         raise ShapeError(f"lstm layer dims: input {x.shape}, w_x {wx.shape}, bias {bias.shape}, w_h {wh.shape}")
     batch, steps, _ = x.shape
-    xw = x @ wx + bias.data
-    gates = np.empty((batch, steps, 4 * hd))  # activated: sigmoid, tanh for the candidate
+    gates = x @ wx + bias.data  # each step's slice is overwritten by its activated gates
     tanh_c = np.empty((batch, steps, hd))
     cells = np.empty((batch, steps, hd))
     out = np.empty((batch, steps, hd))
     h = np.zeros((batch, hd))
     c = np.zeros((batch, hd))
     for t in range(steps):
-        z = xw[:, t] + h @ wh
         gate = gates[:, t]
+        z = gate + h @ wh
         gate[...] = _sigmoid(z)
         gate[:, 2 * hd : 3 * hd] = np.tanh(z[:, 2 * hd : 3 * hd])
         c = gate[:, hd : 2 * hd] * c + gate[:, :hd] * gate[:, 2 * hd : 3 * hd]
@@ -372,4 +371,5 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; each branch is the stable form for its sign.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
