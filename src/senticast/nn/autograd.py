@@ -276,7 +276,7 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor
         candidate = gates[..., 2 * hd : 3 * hd]
         local[..., 2 * hd : 3 * hd] = 1.0 - candidate * candidate
         c_prev = np.concatenate([np.zeros((batch, 1, hd)), cells[:, :-1]], axis=1)
-        # d z = [dc, dc, dc, dh] * partner * local, per gate block
+        # per gate block, dz = [dc, dc, dc, dh] * partner (local derivative folded in)
         partner = np.concatenate([candidate, c_prev, gates[..., :hd], tanh_c], axis=-1) * local
         through = gates[..., 3 * hd :] * (1.0 - tanh_c * tanh_c)  # dc/dh within a step
         forget = gates[..., hd : 2 * hd]

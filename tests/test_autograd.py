@@ -166,7 +166,8 @@ def test_no_grad_holds_for_every_thread():
     with no_grad():
         worker = threading.Thread(target=lambda: outs.append((x * 2.0).sum()))
         worker.start()
-        worker.join()
+        worker.join(timeout=10.0)
+    assert not worker.is_alive()
     assert outs[0].requires_grad is False
     assert (x * 2.0).requires_grad is True
 
