@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     SenticastError,
     ValidationError,
 )
-from .fileio import write_atomic
+from .fileio import read_csv, write_atomic
 from .metrics import MetricsRecord, compute_metrics, composite_rank
 from .models import naive_seasonal_forecast
 from .training import grid_search, predict_windows, train_model
@@ -40,18 +41,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_MISSING = 2
 EXIT_VALIDATION = 3
-
-COMMANDS = (
-    "preprocess",
-    "features",
-    "analyze",
-    "train",
-    "predict",
-    "evaluate",
-    "gridsearch",
-    "report",
-)
-
 
 class Artifacts:
     """Canonical layout of pipeline outputs under the run's output directory."""
@@ -94,7 +83,7 @@ def write_json(path: Path, obj) -> None:
     write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -117,14 +106,13 @@ def cmd_preprocess(config: RunConfig, artifacts: Artifacts) -> None:
     require(config.tweets_file)
     tweets = text.load_tweets_csv(config.tweets_file)
     kept, stats = text.filter_corpus(tweets, config.tickers)
-    artifacts.tweets_clean.parent.mkdir(parents=True, exist_ok=True)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("tweet_id", "writer", "post_date", "ticker", "body", "sentiment"))
-    for t in kept:
-        label = "" if t.sentiment is None else str(t.sentiment)
-        writer.writerow((t.tweet_id, t.writer, t.post_date.isoformat(sep=" "), t.ticker, t.body, label))
-    write_atomic(artifacts.tweets_clean, buffer.getvalue())
+    header = ("tweet_id", "writer", "post_date", "ticker", "body", "sentiment")
+    rows = (
+        (t.tweet_id, t.writer, t.post_date.isoformat(sep=" "), t.ticker, t.body,
+         "" if t.sentiment is None else str(t.sentiment))
+        for t in kept
+    )
+    write_csv(artifacts.tweets_clean, header, rows)
     write_json(artifacts.filter_stats, stats)
     log.info("preprocess: kept %d of %d tweets", stats["kept"], stats["input"])
 
@@ -272,15 +260,12 @@ def cmd_analyze(config: RunConfig, artifacts: Artifacts) -> None:
 def _probe_from_daily_text(path: Path, ticker: str, seed: int) -> dict | None:
     embeddings: list[list[float]] = []
     scores: list[float] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        dim = len(header) - 5
-        if dim < 1:
-            return None
-        for row in reader:
-            if not row or not row[5].strip():
-                continue
+    rows = read_csv(path)
+    _, header = next(rows)
+    if len(header) <= 5:
+        return None
+    for _, row in rows:
+        if row[5].strip():
             embeddings.append([float(v) for v in row[5:]])
             scores.append(float(row[4]))
     if len(embeddings) < 2 or len(set(scores)) < 2:
@@ -363,15 +348,12 @@ def cmd_predict(config: RunConfig, artifacts: Artifacts) -> None:
 
 def _read_predictions(path: Path) -> dict[str, tuple[list[float], list[float]]]:
     grouped: dict[str, tuple[list[float], list[float]]] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            truths, preds = grouped.setdefault(row[1], ([], []))
-            truths.append(float(row[3]))
-            preds.append(float(row[4]))
+    rows = read_csv(path)
+    next(rows)
+    for _, row in rows:
+        truths, preds = grouped.setdefault(row[1], ([], []))
+        truths.append(float(row[3]))
+        preds.append(float(row[4]))
     return grouped
 
 
@@ -497,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Batch experiments comparing sentiment and embedding features for close-price forecasting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command in _DISPATCH:
         cmd = sub.add_parser(command, help=f"run the {command} stage")
         cmd.add_argument("--config", required=True, help="path to the run config file")
         for name, setting in OVERRIDES.items():

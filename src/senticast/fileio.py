@@ -1,14 +1,39 @@
-"""Atomic file replacement, shared by every artifact writer.
+"""CSV reading and atomic file replacement, shared by every input reader and artifact writer.
 
-It imports neither numpy nor the model code, so that a module writing plain
-CSV (such as `text`) can use it without loading them.
+It imports neither numpy nor the model code, so that a module reading or
+writing plain CSV (such as `text`) can use it without loading them.
 """
 
 from __future__ import annotations
 
+import csv
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterator
+
+from .errors import ParseError
+
+
+def read_csv(path: Path | str) -> Iterator[tuple[int, list[str]]]:
+    """Yield `(1, header)`, then `(lineno, fields)` for each non-blank row, one at a time.
+
+    The file is UTF-8, with or without a byte-order mark, with LF or CRLF line
+    ends.  A row with no fields, or one blank field, is skipped; every other
+    row must have as many fields as the header.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        yield 1, header
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
 
 
 def write_atomic(path: Path | str, text: str) -> None:

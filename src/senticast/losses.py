@@ -1,4 +1,4 @@
-"""Directional MSE and plain MSE, in numeric and differentiable forms.
+"""Directional MSE and plain MSE over batches of horizon vectors.
 
 The directional weight punishes steps where the predicted and true price
 movements disagree in sign; the step before the first horizon point is
@@ -23,16 +23,6 @@ def directional_weights(
     pred_prev = np.concatenate([anchor[..., None], pred[..., :-1]], axis=-1)
     agree = (truth - truth_prev) * (pred - pred_prev) >= 0.0
     return np.where(agree, 1.0, alpha)
-
-
-def dmse_loss(pred, truth, anchor: float, alpha: float = DEFAULT_ALPHA) -> float:
-    """Directional MSE for one horizon vector."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape or pred.ndim != 1 or pred.size < 1:
-        raise ShapeError(f"dmse needs matching 1-d vectors, got {pred.shape} and {truth.shape}")
-    weights = directional_weights(truth, pred, np.asarray(float(anchor)), alpha)
-    return float(np.mean(weights * (truth - pred) ** 2))
 
 
 def dmse_loss_batch(pred: Tensor, truth: np.ndarray, anchor: np.ndarray, alpha: float = DEFAULT_ALPHA) -> Tensor:

@@ -7,7 +7,6 @@ and operate on plain sequences or the small dataclasses below.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -15,6 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import CalendarError, DomainError, ParseError, ValidationError
+from .fileio import read_csv
 
 OHLCV_HEADER = ("date", "open", "high", "low", "close", "adj_close", "volume")
 
@@ -100,12 +100,6 @@ class PriceSeries:
     ticker: str
     bars: list[OhlcvBar] = field(default_factory=list)
 
-    def closes(self) -> list[float]:
-        return [bar.close for bar in self.bars]
-
-    def dates(self) -> list[date]:
-        return [bar.date for bar in self.bars]
-
 
 def parse_ohlcv_csv(path: Path | str, calendar: BusinessCalendar, ticker: str = "") -> PriceSeries:
     """Load one ticker's daily bars, enforcing schema, OHLC sanity, and the calendar.
@@ -115,32 +109,24 @@ def parse_ohlcv_csv(path: Path | str, calendar: BusinessCalendar, ticker: str = 
     """
     path = Path(path)
     bars: list[OhlcvBar] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    rows = read_csv(path)
+    _, header = next(rows)
+    if tuple(h.strip() for h in header) != OHLCV_HEADER:
+        raise ParseError(f"{path}:1: expected header {','.join(OHLCV_HEADER)}")
+    for lineno, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != OHLCV_HEADER:
-            raise ParseError(f"{path}:1: expected header {','.join(OHLCV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(OHLCV_HEADER):
-                raise ParseError(f"{path}:{lineno}: expected {len(OHLCV_HEADER)} fields, got {len(row)}")
-            try:
-                day = date.fromisoformat(row[0])
-                values = [float(cell) for cell in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not calendar.is_business_day(day):
-                raise CalendarError(f"{path}:{lineno}: {day.isoformat()} is not a business day")
-            bar = OhlcvBar(day, values[0], values[1], values[2], values[3], values[4], values[5])
-            try:
-                bar.validate()
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            bars.append(bar)
+            day = date.fromisoformat(row[0])
+            values = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not calendar.is_business_day(day):
+            raise CalendarError(f"{path}:{lineno}: {day.isoformat()} is not a business day")
+        bar = OhlcvBar(day, values[0], values[1], values[2], values[3], values[4], values[5])
+        try:
+            bar.validate()
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        bars.append(bar)
     bars.sort(key=lambda bar: bar.date)
     for prev, cur in zip(bars, bars[1:]):
         if prev.date == cur.date:

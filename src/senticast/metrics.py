@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,23 +27,8 @@ class MetricsRecord:
     r2: float
     smape: float
 
-    def metric(self, name: str) -> float:
-        if name not in METRIC_NAMES:
-            raise ValidationError(f"unknown metric {name!r}")
-        return getattr(self, name)
-
     def to_dict(self) -> dict:
-        return {
-            "ticker": self.ticker,
-            "model": self.model,
-            "feature_set": self.feature_set,
-            "mape": self.mape,
-            "mae": self.mae,
-            "mse": self.mse,
-            "rmse": self.rmse,
-            "r2": self.r2,
-            "smape": self.smape,
-        }
+        return asdict(self)
 
 
 def compute_metrics(
@@ -109,7 +94,7 @@ def composite_rank(records: Sequence[MetricsRecord]) -> dict[str, list[RankedRec
     groups: dict[str, list[MetricsRecord]] = {}
     for record in records:
         for name in METRIC_NAMES:
-            value = record.metric(name)
+            value = getattr(record, name)
             if value is None or not math.isfinite(value):
                 raise ValidationError(
                     f"{record.ticker}/{record.model}: metric {name} missing or non-finite"
@@ -122,7 +107,7 @@ def composite_rank(records: Sequence[MetricsRecord]) -> dict[str, list[RankedRec
             raise ValidationError(f"{ticker}: composite ranking needs >= 2 records")
         per_metric = {}
         for name in METRIC_NAMES:
-            values = [r.metric(name) for r in group]
+            values = [getattr(r, name) for r in group]
             if name in HIGHER_IS_BETTER:
                 values = [-v for v in values]
             per_metric[name] = average_ranks(values).tolist()

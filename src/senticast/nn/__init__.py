@@ -7,13 +7,11 @@ from .blocks import (
     VariableSelection,
     causal_mask,
 )
-from .gradcheck import GradCheckReport, gradcheck
 from .layers import LayerNorm, Linear, RMSNorm, SwigluFF, dropout, rmsnorm
 from .optim import adam_step
 
 __all__ = [
     "GatedResidualNetwork",
-    "GradCheckReport",
     "LayerNorm",
     "Linear",
     "LstmCell",
@@ -28,7 +26,6 @@ __all__ = [
     "causal_mask",
     "concat",
     "dropout",
-    "gradcheck",
     "no_grad",
     "rmsnorm",
     "zero_grads",

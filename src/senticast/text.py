@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import AlignmentError, NoObservations, ParseError, ValidationError
-from .fileio import write_atomic
+from .fileio import read_csv, write_atomic
 from .market import BusinessCalendar, PriceSeries, smooth
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -298,80 +298,55 @@ def load_tweets_csv(path: Path | str) -> list[TweetRecord]:
     path = Path(path)
     expected = ("tweet_id", "writer", "post_date", "ticker", "body", "sentiment")
     out = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    rows = read_csv(path)
+    _, header = next(rows)
+    if tuple(h.strip() for h in header) != expected:
+        raise ParseError(f"{path}:1: expected header {','.join(expected)}")
+    for lineno, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != expected:
-            raise ParseError(f"{path}:1: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(expected):
-                raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}")
-            try:
-                post_date = datetime.fromisoformat(row[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad post_date {row[2]!r}") from exc
-            raw_sentiment = row[5].strip()
-            sentiment: int | None = None
-            if raw_sentiment:
-                if raw_sentiment not in ("0", "1"):
-                    raise ParseError(f"{path}:{lineno}: sentiment must be blank, 0, or 1")
-                sentiment = int(raw_sentiment)
-            out.append(
-                TweetRecord(
-                    tweet_id=row[0],
-                    writer=row[1],
-                    post_date=post_date,
-                    ticker=row[3].upper(),
-                    body=row[4],
-                    sentiment=sentiment,
-                )
-            )
+            post_date = datetime.fromisoformat(row[2])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad post_date {row[2]!r}") from exc
+        raw_sentiment = row[5].strip()
+        sentiment: int | None = None
+        if raw_sentiment:
+            if raw_sentiment not in ("0", "1"):
+                raise ParseError(f"{path}:{lineno}: sentiment must be blank, 0, or 1")
+            sentiment = int(raw_sentiment)
+        out.append(TweetRecord(row[0], row[1], post_date, row[3].upper(), row[4], sentiment))
     return out
 
 
 def load_embeddings_csv(path: Path | str) -> dict[str, list[float]]:
-    """Read `tweet_id,v0,...,v{d-1}`; the column count declares d."""
+    """Read `tweet_id,v0,...,v{d-1}`; the column count declares d.
+
+    A `tweet_id` may appear once only.
+    """
     path = Path(path)
     out: dict[str, list[float]] = {}
-    dim: int | None = None
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    rows = read_csv(path)
+    _, header = next(rows)
+    if not header or header[0].strip() != "tweet_id" or len(header) < 2:
+        raise ParseError(f"{path}:1: expected header tweet_id,v0,...")
+    for lineno, row in rows:
+        if row[0] in out:
+            raise ParseError(f"{path}:{lineno}: duplicate tweet_id {row[0]!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if not header or header[0].strip() != "tweet_id" or len(header) < 2:
-            raise ParseError(f"{path}:1: expected header tweet_id,v0,...")
-        dim = len(header) - 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != dim + 1:
-                raise ParseError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(row)}")
-            try:
-                vector = [float(cell) for cell in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if any(not math.isfinite(v) for v in vector):
-                raise ValidationError(f"{path}:{lineno}: non-finite embedding value")
-            out[row[0]] = vector
+            vector = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if any(not math.isfinite(v) for v in vector):
+            raise ValidationError(f"{path}:{lineno}: non-finite embedding value")
+        out[row[0]] = vector
     return out
 
 
-def attach_embeddings(tweets: Sequence[TweetRecord], vectors: dict[str, list[float]]) -> int:
-    """Set each tweet's embedding from the lookup; returns how many matched."""
-    matched = 0
+def attach_embeddings(tweets: Sequence[TweetRecord], vectors: dict[str, list[float]]) -> None:
+    """Set each tweet's embedding from the lookup."""
     for tweet in tweets:
         vec = vectors.get(tweet.tweet_id)
         if vec is not None:
             tweet.embedding = list(vec)
-            matched += 1
-    return matched
 
 
 def write_panel_csv(path: Path | str, panel: AlignedPanel) -> None:
@@ -393,38 +368,19 @@ def write_panel_csv(path: Path | str, panel: AlignedPanel) -> None:
 
 def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
     path = Path(path)
-    rows = []
-    dim = 0
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    panel_rows = []
+    rows = read_csv(path)
+    _, header = next(rows)
+    base = ["date", "high", "low", "open", "volume", "close", "score", "score_raw", "holiday", "dow"]
+    if header[: len(base)] != base:
+        raise ParseError(f"{path}:1: unexpected panel header")
+    dim = len(header) - len(base)
+    for lineno, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        base = ["date", "high", "low", "open", "volume", "close", "score", "score_raw", "holiday", "dow"]
-        if header[: len(base)] != base:
-            raise ParseError(f"{path}:1: unexpected panel header")
-        dim = len(header) - len(base)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                embedding = [float(v) for v in row[len(base) :]] if dim else None
-                rows.append(
-                    PanelRow(
-                        day=date.fromisoformat(row[0]),
-                        high=float(row[1]),
-                        low=float(row[2]),
-                        open=float(row[3]),
-                        volume=float(row[4]),
-                        close=float(row[5]),
-                        score=float(row[6]),
-                        score_raw=float(row[7]),
-                        embedding=embedding,
-                        holiday=int(row[8]),
-                        day_of_week=int(row[9]),
-                    )
-                )
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return AlignedPanel(ticker=ticker, rows=rows, embedding_dim=dim)
+            # Columns 1-7 are high..score_raw, in PanelRow's field order.
+            values = [float(v) for v in row[1:8]]
+            embedding = [float(v) for v in row[len(base) :]] if dim else None
+            panel_rows.append(PanelRow(date.fromisoformat(row[0]), *values, embedding, int(row[8]), int(row[9])))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    return AlignedPanel(ticker=ticker, rows=panel_rows, embedding_dim=dim)

@@ -39,10 +39,6 @@ class FeatureSetSpec:
             cols += [f"e{i}" for i in range(self.embedding_dim)]
         return cols
 
-    @property
-    def feature_count(self) -> int:
-        return len(self.columns)
-
 
 @dataclass(frozen=True, eq=False)
 class Windows:
@@ -131,10 +127,6 @@ class Normalizer:
         """`company` is one index, or an index vector with one entry per row of `values`."""
         idx = self.close_index
         return np.asarray(values) * self.stds[company, idx, None] + self.means[company, idx, None]
-
-    def normalize_close(self, company: int, values: np.ndarray) -> np.ndarray:
-        idx = self.close_index
-        return (np.asarray(values) - self.means[company][idx]) / self.stds[company][idx]
 
     def to_dict(self) -> dict:
         return {

@@ -7,9 +7,20 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from senticast.losses import directional_weights
+from senticast.errors import ShapeError
+from senticast.losses import DEFAULT_ALPHA, directional_weights
 from senticast.models import TftLite, TrainConfig
 from senticast.text import AlignedPanel, PanelRow
+
+
+def dmse_loss(pred, truth, anchor: float, alpha: float = DEFAULT_ALPHA) -> float:
+    """Directional MSE for one horizon vector, through the package's weights."""
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.shape != truth.shape or pred.ndim != 1 or pred.size < 1:
+        raise ShapeError(f"dmse needs matching 1-d vectors, got {pred.shape} and {truth.shape}")
+    weights = directional_weights(truth, pred, np.asarray(float(anchor)), alpha)
+    return float(np.mean(weights * (truth - pred) ** 2))
 
 
 def dmse_oracle(pred, truth, anchor, alpha=1e3) -> float:

@@ -7,8 +7,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ValidationError
-from .autograd import Parameter, Tensor, no_grad, zero_grads
+from senticast.errors import ValidationError
+from senticast.nn.autograd import Parameter, Tensor, no_grad, zero_grads
 
 REL_FLOOR = 1e-8
 

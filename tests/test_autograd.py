@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import tft_gradcheck_fixture
+from gradcheck import gradcheck
 from senticast.errors import GraphReuseError, ShapeError
 from senticast.losses import mse_loss_batch
-from senticast.nn import Parameter, Tensor, concat, gradcheck, no_grad, zero_grads
+from senticast.nn import Parameter, Tensor, concat, no_grad, zero_grads
 from senticast.nn.autograd import _sigmoid
 
 

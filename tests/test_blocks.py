@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import lstm_unrolled
+from gradcheck import gradcheck
 from senticast.errors import ConfigError, ShapeError, TrainingError
 from senticast.nn import (
     GatedResidualNetwork,
@@ -15,7 +16,6 @@ from senticast.nn import (
     VariableSelection,
     adam_step,
     causal_mask,
-    gradcheck,
     rmsnorm,
     zero_grads,
 )

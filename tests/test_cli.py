@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from datetime import date
 from operator import attrgetter
 from pathlib import Path
@@ -53,6 +54,38 @@ class TestPrerequisites:
 
     def test_bad_override_exits_3(self, tmp_path):
         assert run("preprocess", tmp_path / "out", "--hidden-size", "31") == EXIT_VALIDATION
+
+
+class TestMalformedInputs:
+    def test_empty_daily_text_exits_3(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        assert run("preprocess", out) == EXIT_OK
+        assert run("features", out) == EXIT_OK
+        (out / "features" / "daily_text_AAA.csv").write_text("")
+        assert run("analyze", out) == EXIT_VALIDATION
+        assert "daily_text_AAA.csv: empty file" in caplog.text
+
+    def test_empty_predictions_exit_3(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        (out / "train").mkdir(parents=True)
+        (out / "train" / "checkpoint.json").write_text("{}")
+        (out / "predict").mkdir()
+        meta = {"model": "tft_lite", "feature_set": "HLOVS", "horizon": 3}
+        (out / "predict" / "meta.json").write_text(json.dumps(meta))
+        (out / "predict" / "predictions.csv").write_text("")
+        assert run("evaluate", out) == EXIT_VALIDATION
+        assert "predictions.csv: empty file" in caplog.text
+
+    def test_repeated_embedding_id_exits_3_naming_line(self, tmp_path, caplog):
+        fixture = tmp_path / "fixture"
+        shutil.copytree(Path(FIXTURE_CONFIG).parent, fixture)
+        embeddings = fixture / "embeddings.csv"
+        lines = embeddings.read_text().splitlines()
+        embeddings.write_text("\n".join(lines + [lines[1]]) + "\n")
+        config = str(fixture / "config.cfg")
+        assert main(["preprocess", "--config", config]) == EXIT_OK
+        assert main(["features", "--config", config]) == EXIT_VALIDATION
+        assert f"embeddings.csv:{len(lines) + 1}: duplicate tweet_id" in caplog.text
 
 
 class TestUsageErrors:

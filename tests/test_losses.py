@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import dmse_oracle
+from conftest import dmse_loss, dmse_oracle
 
 from senticast.errors import ShapeError
-from senticast.losses import dmse_loss, dmse_loss_batch, mse_loss_batch
+from senticast.losses import dmse_loss_batch, mse_loss_batch
 from senticast.nn import Tensor
 
 

@@ -50,9 +50,9 @@ def make_panel(ticker: str, closes: list[float], embedding_dim: int = 0, seed: i
 
 class TestFeatureSetSpec:
     def test_column_counts(self):
-        assert FeatureSetSpec("HLOV").feature_count == 5
-        assert FeatureSetSpec("HLOVS").feature_count == 6
-        assert FeatureSetSpec("HLOVE", embedding_dim=16).feature_count == 21
+        assert len(FeatureSetSpec("HLOV").columns) == 5
+        assert len(FeatureSetSpec("HLOVS").columns) == 6
+        assert len(FeatureSetSpec("HLOVE", embedding_dim=16).columns) == 21
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -118,7 +118,9 @@ class TestBuildWindows:
         panel = make_panel("AAA", closes)
         _, _, norm = build_windows([panel], FeatureSetSpec("HLOVS"), 15, 3, split=0.8)
         values = np.asarray(closes)
-        round_trip = norm.denormalize_close(0, norm.normalize_close(0, values))
+        matrix = np.zeros((len(values), len(norm.columns)))
+        matrix[:, norm.close_index] = values
+        round_trip = norm.denormalize_close(0, norm.normalize(0, matrix)[:, norm.close_index])
         assert np.allclose(round_trip, values, atol=1e-10)
 
     def test_anchor_is_last_observed_close(self):
