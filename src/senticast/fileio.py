@@ -19,8 +19,9 @@ def read_csv(path: Path | str) -> Iterator[tuple[int, list[str]]]:
     """Yield `(1, header)`, then `(lineno, fields)` for each non-blank row, one at a time.
 
     The file is UTF-8, with or without a byte-order mark, with LF or CRLF line
-    ends.  A row with no fields, or one blank field, is skipped; every other
-    row must have as many fields as the header.
+    ends.  `lineno` is the file line the row starts on.  A row with no fields,
+    or one blank field, is skipped; every other row must have as many fields
+    as the header.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -28,12 +29,13 @@ def read_csv(path: Path | str) -> Iterator[tuple[int, list[str]]]:
         if header is None:
             raise ParseError(f"{path}: empty file")
         yield 1, header
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            yield lineno, row
+        lineno = reader.line_num + 1
+        for row in reader:
+            if row and (len(row) > 1 or row[0].strip()):
+                if len(row) != len(header):
+                    raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                yield lineno, row
+            lineno = reader.line_num + 1  # a quoted field may span lines
 
 
 def write_atomic(path: Path | str, text: str) -> None:

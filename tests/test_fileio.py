@@ -93,6 +93,12 @@ def test_row_with_wrong_field_count_names_its_line(tmp_path, name, edit):
         load(tmp_path, name, "\n".join(lines) + "\n")
 
 
+def test_line_numbers_count_file_lines_across_quoted_newlines(tmp_path):
+    text = TWEETS.replace('"hello, world"', '"hello,\nworld"') + "4,dan,not-a-date,AAPL,x,1\n"
+    with pytest.raises(ParseError, match=":6: bad post_date"):
+        load(tmp_path, "tweets", text)
+
+
 def test_repeated_embedding_id_names_its_line(tmp_path):
     with pytest.raises(ParseError, match=":3: duplicate tweet_id '1'"):
         load(tmp_path, "embeddings", "tweet_id,v0\n1,0.5\n1,0.7\n")
