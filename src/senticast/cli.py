@@ -26,6 +26,7 @@ from .config import OVERRIDES, RunConfig, apply_overrides, load_run_config
 from .errors import (
     ConfigError,
     MissingArtifactError,
+    ParseError,
     SenticastError,
     ValidationError,
 )
@@ -264,10 +265,13 @@ def _probe_from_daily_text(path: Path, ticker: str, seed: int) -> dict | None:
     _, header = next(rows)
     if len(header) <= 5:
         return None
-    for _, row in rows:
+    for lineno, row in rows:
         if row[5].strip():
-            embeddings.append([float(v) for v in row[5:]])
-            scores.append(float(row[4]))
+            try:
+                embeddings.append([float(v) for v in row[5:]])
+                scores.append(float(row[4]))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if len(embeddings) < 2 or len(set(scores)) < 2:
         return None
     result = analysis.probe_ticker(ticker, np.asarray(embeddings), scores, seed)
@@ -350,10 +354,13 @@ def _read_predictions(path: Path) -> dict[str, tuple[list[float], list[float]]]:
     grouped: dict[str, tuple[list[float], list[float]]] = {}
     rows = read_csv(path)
     next(rows)
-    for _, row in rows:
+    for lineno, row in rows:
         truths, preds = grouped.setdefault(row[1], ([], []))
-        truths.append(float(row[3]))
-        preds.append(float(row[4]))
+        try:
+            truths.append(float(row[3]))
+            preds.append(float(row[4]))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return grouped
 
 

@@ -16,7 +16,7 @@ from .nn.blocks import (
     VariableSelection,
     causal_mask,
 )
-from .nn.layers import Linear
+from .nn.layers import Linear, Module
 from .windows import KNOWN_DIM
 
 
@@ -101,7 +101,7 @@ def naive_seasonal_forecast(history: Sequence[float], horizon: int) -> list[floa
     return [float(history[-1])] * horizon
 
 
-class NLinear:
+class NLinear(Module):
     """Subtract the window's last close, map linearly to the horizon, add it back.
 
     Operates on the close channel only; covariates are ignored by design.
@@ -145,11 +145,8 @@ class NLinear:
     ) -> Tensor:
         return self.forward(Tensor(past[:, :, self.close_col]))
 
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
 
-
-class TftLite:
+class TftLite(Module):
     """A compact temporal fusion forecaster.
 
     Static company embedding conditions per-timestep variable selection; an
@@ -246,16 +243,3 @@ class TftLite:
             [final, Tensor(known.reshape(batch, cfg.horizon * self.known_dim))], axis=-1
         )
         return self.head(head_input)
-
-    def parameters(self) -> list[Parameter]:
-        params = [self.company_embedding]
-        for proj in self.var_proj:
-            params += proj.parameters()
-        params += self.selector.parameters()
-        params += self.encoder.parameters()
-        params += self.enrichment.parameters()
-        params += self.attention.parameters()
-        params += self.position_ff.parameters()
-        params += self.head.parameters()
-        return params
-

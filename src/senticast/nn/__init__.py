@@ -7,7 +7,7 @@ from .blocks import (
     VariableSelection,
     causal_mask,
 )
-from .layers import LayerNorm, Linear, RMSNorm, SwigluFF, dropout, rmsnorm
+from .layers import LayerNorm, Linear, Module, RMSNorm, SwigluFF, dropout, rmsnorm
 from .optim import adam_step
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
     "Linear",
     "LstmCell",
     "LstmEncoder",
+    "Module",
     "MultiHeadAttention",
     "Parameter",
     "RMSNorm",

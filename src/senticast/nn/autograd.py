@@ -100,26 +100,9 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
     def __sub__(self, other):
         other = _wrap(other)
         return _result(self.data - other.data, (self, _same), (other, np.negative))
-
-    def __rsub__(self, other):
-        return _wrap(other) - self
-
-    def __truediv__(self, other):
-        other = _wrap(other)
-        return _result(
-            self.data / other.data,
-            (self, lambda grad: grad / other.data),
-            (other, lambda grad: -grad * self.data / (other.data * other.data)),
-        )
-
-    def __rtruediv__(self, other):
-        return _wrap(other) / self
 
     def __pow__(self, exponent: float):
         if not isinstance(exponent, (int, float)):

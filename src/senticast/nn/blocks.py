@@ -9,13 +9,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .autograd import Parameter, Tensor, concat, lstm_sequence
-from .layers import Linear, SwigluFF, dropout, make_norm
+from .autograd import Tensor, concat, lstm_sequence
+from .layers import Linear, Module, SwigluFF, dropout, make_norm
 
 MASKED_SCORE = -1e30
 
 
-class GatedResidualNetwork:
+class GatedResidualNetwork(Module):
     """activation -> GLU gate -> residual -> norm.
 
     The default transform is silu(W_a x + W_c context + b_a); silu is
@@ -84,22 +84,8 @@ class GatedResidualNetwork:
         residual = self.skip(x) if self.skip is not None else x
         return self.norm(residual + g)
 
-    def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        if self.fc1 is not None:
-            params += self.fc1.parameters()
-        if self.context_proj is not None:
-            params += self.context_proj.parameters()
-        if self.ff is not None:
-            params += self.ff.parameters()
-        params += self.gate.parameters()
-        if self.skip is not None:
-            params += self.skip.parameters()
-        params += self.norm.parameters()
-        return params
 
-
-class LstmCell:
+class LstmCell(Module):
     """The weights of one LSTM layer: input and recurrent maps onto the four gates."""
 
     def __init__(self, d_in: int, hidden: int, name: str, rng: np.random.Generator):
@@ -107,11 +93,8 @@ class LstmCell:
         self.wx = Linear(d_in, 4 * hidden, f"{name}.wx", rng)
         self.wh = Linear(hidden, 4 * hidden, f"{name}.wh", rng, bias=False)
 
-    def parameters(self) -> list[Parameter]:
-        return self.wx.parameters() + self.wh.parameters()
 
-
-class LstmEncoder:
+class LstmEncoder(Module):
     """Stacked unidirectional LSTM over (batch, time, features), one op per layer."""
 
     def __init__(self, d_in: int, hidden: int, layers: int, name: str, rng: np.random.Generator):
@@ -128,9 +111,6 @@ class LstmEncoder:
             seq = lstm_sequence(seq, cell.wx.weight, cell.wx.bias, cell.wh.weight)
         return seq
 
-    def parameters(self) -> list[Parameter]:
-        return [p for cell in self.cells for p in cell.parameters()]
-
 
 def causal_mask(steps: int) -> np.ndarray:
     """Additive mask: 0 at or before the query position, large negative after."""
@@ -139,7 +119,7 @@ def causal_mask(steps: int) -> np.ndarray:
     return mask
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     def __init__(self, hidden: int, n_heads: int, name: str, rng: np.random.Generator):
         if hidden % n_heads != 0:
             raise ConfigError(f"hidden size {hidden} not divisible by {n_heads} heads")
@@ -180,16 +160,8 @@ class MultiHeadAttention:
             return out, weights
         return out
 
-    def parameters(self) -> list[Parameter]:
-        return (
-            self.proj_q.parameters()
-            + self.proj_k.parameters()
-            + self.proj_v.parameters()
-            + self.proj_out.parameters()
-        )
 
-
-class VariableSelection:
+class VariableSelection(Module):
     """Softmax-weighted mixture of per-variable GRN transforms.
 
     Selection weights come from a GRN over the concatenated variable
@@ -245,9 +217,3 @@ class VariableSelection:
             term = weights[..., i : i + 1] * self.var_grns[i](var, training=training, rng=rng)
             combined = term if combined is None else combined + term
         return combined, weights
-
-    def parameters(self) -> list[Parameter]:
-        params = self.flat_grn.parameters()
-        for grn in self.var_grns:
-            params += grn.parameters()
-        return params

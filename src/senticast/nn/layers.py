@@ -10,7 +10,23 @@ from .autograd import Parameter, Tensor
 NORM_EPS = 1e-8
 
 
-class Linear:
+class Module:
+    """A block whose trainable parameters are the ones its attributes hold."""
+
+    def parameters(self) -> list[Parameter]:
+        """Parameters held by attributes, in assignment order; lists are walked in order."""
+        params: list[Parameter] = []
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, Parameter):
+                    params.append(item)
+                # Duck-typed: the benchmark's timing proxies forward `parameters` but are not Modules.
+                elif hasattr(item, "parameters"):
+                    params += item.parameters()
+        return params
+
+
+class Linear(Module):
     """Affine map on the trailing axis: y = x @ W + b.
 
     Weights and bias draw from U(-1/sqrt(d_in), 1/sqrt(d_in)).  A nonzero
@@ -29,9 +45,6 @@ class Linear:
             out = out + self.bias
         return out
 
-    def parameters(self) -> list[Parameter]:
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
-
 
 def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     """y_i = gain_i * x_i / sqrt(mean(x^2) + eps), over the trailing axis."""
@@ -41,18 +54,15 @@ def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     return x * ((ms + NORM_EPS) ** -0.5) * gain
 
 
-class RMSNorm:
+class RMSNorm(Module):
     def __init__(self, dim: int, name: str):
         self.gain = Parameter(np.ones(dim), f"{name}.gain")
 
     def __call__(self, x: Tensor) -> Tensor:
         return rmsnorm(x, self.gain)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.gain]
 
-
-class LayerNorm:
+class LayerNorm(Module):
     """Standard layer normalization with learned gain and shift."""
 
     def __init__(self, dim: int, name: str):
@@ -64,9 +74,6 @@ class LayerNorm:
         var = (centered * centered).mean(axis=-1, keepdims=True)
         return centered * ((var + NORM_EPS) ** -0.5) * self.gain + self.shift
 
-    def parameters(self) -> list[Parameter]:
-        return [self.gain, self.shift]
-
 
 def make_norm(kind: str, dim: int, name: str):
     if kind == "rmsnorm":
@@ -76,7 +83,7 @@ def make_norm(kind: str, dim: int, name: str):
     raise ShapeError(f"unknown norm type {kind!r}")
 
 
-class SwigluFF:
+class SwigluFF(Module):
     """Gated feed-forward: W3-projected silu(W1 x) * (W2 x), or plain relu."""
 
     def __init__(self, d_in: int, d_hidden: int, d_out: int, variant: str, name: str, rng: np.random.Generator):
@@ -95,11 +102,6 @@ class SwigluFF:
         if self.variant == "relu":
             return (x @ self.w1).relu() @ self.w3
         return ((x @ self.w1).silu() * (x @ self.w2)) @ self.w3
-
-    def parameters(self) -> list[Parameter]:
-        if self.w2 is None:
-            return [self.w1, self.w3]
-        return [self.w1, self.w2, self.w3]
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

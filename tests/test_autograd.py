@@ -123,12 +123,12 @@ def test_elementwise_op_gradients():
     assert report.passed, report.summary()
 
 
-def test_division_and_power_gradients():
+def test_power_gradients():
     rng = np.random.default_rng(3)
     x = Parameter(rng.uniform(0.5, 2.0, size=6), "x")
-    y = Parameter(rng.uniform(0.5, 2.0, size=6), "y")
-    report = gradcheck(lambda: ((x / y) ** 3).sum(), [x, y])
-    assert report.passed, report.summary()
+    for exponent in (3, -0.5):  # -0.5 is the norms' exponent
+        report = gradcheck(lambda: (x ** exponent).sum(), [x])
+        assert report.passed, f"x ** {exponent}: {report.summary()}"
 
 
 def test_mean_and_sum_axes():

@@ -9,6 +9,7 @@ from senticast.errors import ConfigError, ShapeError, TrainingError
 from senticast.nn import (
     GatedResidualNetwork,
     LstmEncoder,
+    Module,
     MultiHeadAttention,
     Parameter,
     SwigluFF,
@@ -25,6 +26,33 @@ from senticast.nn.layers import LayerNorm, Linear, dropout
 def zero_params(block) -> None:
     for p in block.parameters():
         p.data[...] = 0.0
+
+
+class TestModule:
+    def test_parameters_follow_attribute_order(self):
+        class Leaf(Module):
+            def __init__(self, name):
+                self.weight = Parameter(np.zeros(1), f"{name}.weight")
+                self.unused = None
+
+        class Inner(Module):
+            def __init__(self):
+                self.scale = Parameter(np.ones(1), "inner.scale")
+                self.leaf = Leaf("inner.leaf")
+
+        class Outer(Module):
+            def __init__(self):
+                self.width = 3
+                self.bias = Parameter(np.zeros(2), "outer.bias")
+                self.skip = None
+                self.leaves = [Leaf("outer.leaf0"), Leaf("outer.leaf1")]
+                self.inner = Inner()
+                self.gain = Parameter(np.ones(2), "outer.gain")
+
+        names = [p.name for p in Outer().parameters()]
+        assert names == [
+            "outer.bias", "outer.leaf0.weight", "outer.leaf1.weight", "inner.scale", "inner.leaf.weight", "outer.gain"
+        ]
 
 
 class TestRmsNorm:

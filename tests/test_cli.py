@@ -65,16 +65,39 @@ class TestMalformedInputs:
         assert run("analyze", out) == EXIT_VALIDATION
         assert "daily_text_AAA.csv: empty file" in caplog.text
 
-    def test_empty_predictions_exit_3(self, tmp_path, caplog):
-        out = tmp_path / "out"
+    @staticmethod
+    def evaluate_predictions(out: Path, predictions: str) -> int:
+        """Run evaluate on a stub checkpoint and the given predictions.csv text."""
         (out / "train").mkdir(parents=True)
         (out / "train" / "checkpoint.json").write_text("{}")
         (out / "predict").mkdir()
         meta = {"model": "tft_lite", "feature_set": "HLOVS", "horizon": 3}
         (out / "predict" / "meta.json").write_text(json.dumps(meta))
-        (out / "predict" / "predictions.csv").write_text("")
-        assert run("evaluate", out) == EXIT_VALIDATION
+        (out / "predict" / "predictions.csv").write_text(predictions)
+        return run("evaluate", out)
+
+    def test_empty_predictions_exit_3(self, tmp_path, caplog):
+        assert self.evaluate_predictions(tmp_path / "out", "") == EXIT_VALIDATION
         assert "predictions.csv: empty file" in caplog.text
+
+    def test_non_numeric_truth_exits_3_naming_line(self, tmp_path, caplog):
+        text = "date,ticker,step,truth,pred\n2020-01-02,AAA,1,abc,1.0\n"
+        assert self.evaluate_predictions(tmp_path / "out", text) == EXIT_VALIDATION
+        assert "predictions.csv:2:" in caplog.text
+
+    def test_non_numeric_daily_score_exits_3(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        assert run("preprocess", out) == EXIT_OK
+        assert run("features", out) == EXIT_OK
+        daily = out / "features" / "daily_text_AAA.csv"
+        lines = daily.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines[1:], start=2) if line.split(",")[5].strip())
+        fields = lines[lineno - 1].split(",")
+        fields[4] = "abc"  # score2
+        lines[lineno - 1] = ",".join(fields)
+        daily.write_text("\n".join(lines) + "\n")
+        assert run("analyze", out) == EXIT_VALIDATION
+        assert f"daily_text_AAA.csv:{lineno}:" in caplog.text
 
     def test_repeated_embedding_id_exits_3_naming_line(self, tmp_path, caplog):
         fixture = tmp_path / "fixture"
