@@ -7,7 +7,7 @@ from .blocks import (
     VariableSelection,
     causal_mask,
 )
-from .layers import LayerNorm, Linear, Module, RMSNorm, SwigluFF, dropout, rmsnorm
+from .layers import LayerNorm, Linear, Module, RMSNorm, SwigluFF, dropout_mask
 from .optim import adam_step
 
 __all__ = [
@@ -26,8 +26,7 @@ __all__ = [
     "adam_step",
     "causal_mask",
     "concat",
-    "dropout",
+    "dropout_mask",
     "no_grad",
-    "rmsnorm",
     "zero_grads",
 ]

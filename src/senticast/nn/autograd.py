@@ -9,8 +9,10 @@ reference counting as soon as its last tensor is dropped.  Calling
 backward() on a scalar output topologically orders the graph and visits
 each op exactly once in reverse, accumulating gradients into its inputs;
 a second call on the same graph raises instead of adding the gradients
-again.  The op set is the minimum the forecasting blocks need, with one
-LSTM layer over a whole sequence as a single op.
+again.  The op set is the minimum the forecasting blocks need; three ops
+fuse a block into one node with a numpy backward: `affine` (x @ W + b),
+`gated_residual` (a gated residual network after its transform) and
+`lstm_sequence` (one LSTM layer over a whole sequence).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from ..errors import GraphReuseError, ShapeError
 
 _recording = True  # process-wide: no_grad turns it off for every thread
+NORM_EPS = 1e-8
 
 
 @contextlib.contextmanager
@@ -220,6 +223,73 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _result(data, *edges)
 
 
+def affine(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
+    """x @ weight (+ bias) on the trailing axis, as one op with the bits of the matmul-then-add pair."""
+    out = x.data @ weight.data
+    if bias is not None:
+        out += bias.data
+    return _result(
+        out,
+        (x, lambda grad: grad @ weight.data.T),
+        (weight, lambda grad: _flat(x.data).T @ _flat(grad)),
+        (bias, lambda grad: _flat(grad).sum(axis=0)),
+    )
+
+
+def gated_residual(a: Tensor, x: Tensor, gate_w: Tensor, gate_b: Tensor, skip_w: Tensor | None,
+                   gain: Tensor, shift: Tensor | None, mask: np.ndarray | None) -> Tensor:
+    """norm(residual + mask * u * sigmoid(v)), [u, v] = a @ gate_w + gate_b, as one op.
+
+    The residual is x @ skip_w, or x when skip_w is None; the mask is an
+    optional dropout multiplier; the norm is RMSNorm, or LayerNorm when
+    `shift` is given.  The forward runs that composition's expressions in
+    its order, in place: the same bits from fewer live arrays.
+    """
+    d = gain.shape[-1]
+    if gate_w.shape != (a.shape[-1], 2 * d) or (x.shape[-1] if skip_w is None else skip_w.shape[-1]) != d:
+        raise ShapeError(f"grn dims: transform {a.shape}, gate {gate_w.shape}, residual {x.shape}, norm {d}")
+    gated = a.data @ gate_w.data
+    gated += gate_b.data
+    u, sig = gated[..., :d], gated[..., d:]
+    sig[...] = _sigmoid(sig)  # the v half now holds sigmoid(v)
+    z = u * sig
+    if mask is not None:
+        z *= mask
+    z += x.data if skip_w is None else x.data @ skip_w.data
+    inv_d = 1.0 / d
+    if shift is not None:
+        z -= z.sum(axis=-1, keepdims=True) * inv_d
+    scale = ((z * z).sum(axis=-1, keepdims=True) * inv_d + NORM_EPS) ** -0.5
+    z *= scale  # z now holds the normed sum
+    out = z * gain.data
+    if shift is not None:
+        out += shift.data
+    cached: list[np.ndarray] = []
+
+    def core(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of the gate pre-activations (..., 2d) and of the residual sum (..., d)."""
+        if not cached or cached[0] is not grad:
+            dn = grad * gain.data
+            dz = dn - z * ((dn * z).sum(axis=-1, keepdims=True) * inv_d)
+            if shift is not None:
+                dz -= dn.sum(axis=-1, keepdims=True) * inv_d
+            dz *= scale
+            dg = dz if mask is None else dz * mask
+            cached[:] = [grad, np.concatenate([dg * sig, dg * u * sig * (1.0 - sig)], axis=-1), dz]
+        return cached[1], cached[2]
+
+    return _result(
+        out,
+        (a, lambda grad: core(grad)[0] @ gate_w.data.T),
+        (x, lambda grad: core(grad)[1] if skip_w is None else core(grad)[1] @ skip_w.data.T),
+        (gate_w, lambda grad: _flat(a.data).T @ _flat(core(grad)[0])),
+        (gate_b, lambda grad: _flat(core(grad)[0]).sum(axis=0)),
+        (skip_w, lambda grad: _flat(x.data).T @ _flat(core(grad)[1])),
+        (gain, lambda grad: _flat(grad * z).sum(axis=0)),
+        (shift, lambda grad: _flat(grad).sum(axis=0)),
+    )
+
+
 def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor:
     """One LSTM layer over a whole (batch, time, features) sequence, as one op.
 
@@ -284,17 +354,14 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor
             cached[:] = [grad, bptt(grad)]
         return cached[1]
 
-    def flat(a: np.ndarray) -> np.ndarray:
-        return a.reshape(batch * steps, a.shape[-1])
-
     def w_h_grad(grad: np.ndarray) -> np.ndarray:
         h_prev = np.concatenate([np.zeros((batch, 1, hd)), out[:, :-1]], axis=1)
-        return flat(h_prev).T @ flat(gate_grads(grad))
+        return _flat(h_prev).T @ _flat(gate_grads(grad))
 
     return _result(
         out,
         (seq, lambda grad: gate_grads(grad) @ wx.T),
-        (w_x, lambda grad: flat(x).T @ flat(gate_grads(grad))),
+        (w_x, lambda grad: _flat(x).T @ _flat(gate_grads(grad))),
         (bias, lambda grad: gate_grads(grad).sum(axis=(0, 1))),
         (w_h, w_h_grad),
     )
@@ -319,14 +386,18 @@ def _same(grad: np.ndarray) -> np.ndarray:
     return grad
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
 def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _result(data: np.ndarray, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
-    """The output of an op; each edge is (input, vjp), kept while recording if the input needs a gradient."""
+def _result(data: np.ndarray, *edges: tuple[Tensor | None, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """The output of an op; each edge is (input, vjp), kept while recording if the input is given and needs a gradient."""
     out = Tensor(data)
-    edges = [edge for edge in edges if edge[0].requires_grad] if _recording else []
+    edges = [edge for edge in edges if edge[0] is not None and edge[0].requires_grad] if _recording else []
     if edges:
         out.requires_grad = True
         out._prev, out._vjps = zip(*edges)
@@ -352,7 +423,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; each branch is the stable form for its sign.
+    # exp(-|x|) never overflows; max(e, x >= 0) is 1 for x >= 0, else e (NaN stays NaN).
     e = np.exp(-np.abs(x))
     denom = 1.0 + e
-    return np.where(x >= 0, 1.0 / denom, e / denom)
+    return np.maximum(e, x >= 0) / denom

@@ -9,14 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .autograd import Tensor, concat, lstm_sequence
-from .layers import Linear, Module, SwigluFF, dropout, make_norm
+from .autograd import Tensor, concat, gated_residual, lstm_sequence
+from .layers import Linear, Module, SwigluFF, dropout_mask, make_norm
 
 MASKED_SCORE = -1e30
 
 
 class GatedResidualNetwork(Module):
-    """activation -> GLU gate -> residual -> norm.
+    """activation -> GLU gate -> residual -> norm, the last four as one op.
 
     The default transform is silu(W_a x + W_c context + b_a); silu is
     smooth everywhere, which keeps finite-difference gradient checks valid
@@ -73,16 +73,11 @@ class GatedResidualNetwork(Module):
                     raise ShapeError("grn was built without a context projection")
                 pre = pre + self.context_proj(context)
             a = pre.silu()
-        gated = self.gate(a)
-        u = gated[..., : self.d_out]
-        v = gated[..., self.d_out :]
-        g = u * v.sigmoid()
-        if training and self.dropout_rate > 0.0:
-            if rng is None:
-                raise ConfigError("training-mode GRN needs a dropout rng")
-            g = dropout(g, self.dropout_rate, rng)
-        residual = self.skip(x) if self.skip is not None else x
-        return self.norm(residual + g)
+        if training and self.dropout_rate > 0.0 and rng is None:
+            raise ConfigError("training-mode GRN needs a dropout rng")
+        mask = dropout_mask(a.shape[:-1] + (self.d_out,), self.dropout_rate, rng) if training else None
+        skip_w = self.skip.weight if self.skip is not None else None
+        return gated_residual(a, x, self.gate.weight, self.gate.bias, skip_w, self.norm.gain, self.norm.shift, mask)
 
 
 class LstmCell(Module):

@@ -1,13 +1,11 @@
-"""Parameterized layers: linear maps, norms, gated feed-forward, dropout."""
+"""Parameterized layers: linear maps, norms, gated feed-forward, dropout masks."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ShapeError
-from .autograd import Parameter, Tensor
-
-NORM_EPS = 1e-8
+from .autograd import Parameter, Tensor, affine
 
 
 class Module:
@@ -40,39 +38,24 @@ class Linear(Module):
         self.bias = Parameter(rng.uniform(-bound, bound, size=d_out), f"{name}.bias") if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
-
-def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
-    """y_i = gain_i * x_i / sqrt(mean(x^2) + eps), over the trailing axis."""
-    if x.shape[-1] != gain.shape[-1]:
-        raise ShapeError(f"rmsnorm gain dim {gain.shape[-1]} != input dim {x.shape[-1]}")
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    return x * ((ms + NORM_EPS) ** -0.5) * gain
+        return affine(x, self.weight, self.bias)
 
 
 class RMSNorm(Module):
+    """Learned gain of y_i = gain_i * x_i / sqrt(mean(x^2) + eps); `autograd.gated_residual` applies it."""
+
+    shift = None
+
     def __init__(self, dim: int, name: str):
         self.gain = Parameter(np.ones(dim), f"{name}.gain")
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return rmsnorm(x, self.gain)
-
 
 class LayerNorm(Module):
-    """Standard layer normalization with learned gain and shift."""
+    """Learned gain and shift of standard layer normalization; `autograd.gated_residual` applies it."""
 
     def __init__(self, dim: int, name: str):
         self.gain = Parameter(np.ones(dim), f"{name}.gain")
         self.shift = Parameter(np.zeros(dim), f"{name}.shift")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        centered = x - x.mean(axis=-1, keepdims=True)
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered * ((var + NORM_EPS) ** -0.5) * self.gain + self.shift
 
 
 def make_norm(kind: str, dim: int, name: str):
@@ -104,10 +87,9 @@ class SwigluFF(Module):
         return ((x @ self.w1).silu() * (x @ self.w2)) @ self.w3
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only in training mode."""
+def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray | None:
+    """Inverted-dropout multipliers (0 or 1/keep), or None at rate 0; draw only in training mode."""
     if rate <= 0.0:
-        return x
+        return None
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep) / keep
-    return x * Tensor(mask)
+    return (rng.random(shape) < keep) / keep

@@ -294,7 +294,7 @@ def align_panel(
 
 
 def load_tweets_csv(path: Path | str) -> list[TweetRecord]:
-    """Read `tweet_id,writer,post_date,ticker,body,sentiment` rows."""
+    """Read `tweet_id,writer,post_date,ticker,body,sentiment` rows; tickers are stripped and upper-cased."""
     path = Path(path)
     expected = ("tweet_id", "writer", "post_date", "ticker", "body", "sentiment")
     out = []
@@ -313,7 +313,10 @@ def load_tweets_csv(path: Path | str) -> list[TweetRecord]:
             if raw_sentiment not in ("0", "1"):
                 raise ParseError(f"{path}:{lineno}: sentiment must be blank, 0, or 1")
             sentiment = int(raw_sentiment)
-        out.append(TweetRecord(row[0], row[1], post_date, row[3].upper(), row[4], sentiment))
+        ticker = row[3].strip().upper()
+        if not ticker:
+            raise ParseError(f"{path}:{lineno}: blank ticker")
+        out.append(TweetRecord(row[0], row[1], post_date, ticker, row[4], sentiment))
     return out
 
 

@@ -10,6 +10,8 @@ import numpy as np
 from senticast.errors import ShapeError
 from senticast.losses import DEFAULT_ALPHA, directional_weights
 from senticast.models import TftLite, TrainConfig
+from senticast.nn import Tensor
+from senticast.nn.autograd import NORM_EPS
 from senticast.text import AlignedPanel, PanelRow
 
 
@@ -220,3 +222,44 @@ def lstm_unrolled(encoder, seq):
             outputs.append(h.reshape(batch, 1, hd))
         current = concat(outputs, axis=1)
     return current
+
+
+def rmsnorm(x, gain):
+    """y_i = gain_i * x_i / sqrt(mean(x^2) + eps) over the trailing axis, as a composition of ops."""
+    if x.shape[-1] != gain.shape[-1]:
+        raise ShapeError(f"rmsnorm gain dim {gain.shape[-1]} != input dim {x.shape[-1]}")
+    ms = (x * x).mean(axis=-1, keepdims=True)
+    return x * ((ms + NORM_EPS) ** -0.5) * gain
+
+
+def layernorm(x, gain, shift):
+    """Standard layer normalization with gain and shift, as a composition of ops."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * ((var + NORM_EPS) ** -0.5) * gain + shift
+
+
+def grn_composed(grn, x, context=None, training=False, rng=None):
+    """The composition of ops that `gated_residual` fuses, with the GRN's own transform: the oracle.
+
+    Draws its dropout mask with the same `rng.random` call as the GRN, so
+    equal generators give equal masks.
+    """
+    if grn.ff is not None:
+        a = grn.ff(x)
+    else:
+        pre = x @ grn.fc1.weight + grn.fc1.bias
+        if context is not None:
+            pre = pre + context @ grn.context_proj.weight
+        a = pre.silu()
+    gated = a @ grn.gate.weight + grn.gate.bias
+    u = gated[..., : grn.d_out]
+    v = gated[..., grn.d_out :]
+    g = u * v.sigmoid()
+    if training and grn.dropout_rate > 0.0:
+        keep = 1.0 - grn.dropout_rate
+        g = g * Tensor((rng.random(g.shape) < keep) / keep)
+    residual = x @ grn.skip.weight if grn.skip is not None else x
+    if grn.norm.shift is None:
+        return rmsnorm(residual + g, grn.norm.gain)
+    return layernorm(residual + g, grn.norm.gain, grn.norm.shift)

@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import dmse_loss, dmse_oracle, latent_sentiment_panels, spearman_oracle, tft_gradcheck_fixture
+from conftest import (
+    dmse_loss,
+    dmse_oracle,
+    latent_sentiment_panels,
+    rmsnorm,
+    spearman_oracle,
+    tft_gradcheck_fixture,
+)
 from gradcheck import gradcheck
 
 from senticast.analysis import ols_r2_probe, random_vector_baseline, spearman
@@ -31,7 +38,6 @@ from senticast.nn import (
     Tensor,
     VariableSelection,
     causal_mask,
-    rmsnorm,
 )
 from senticast.training import predict_windows, train_model
 from senticast.windows import FeatureSetSpec, build_windows

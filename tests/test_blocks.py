@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import lstm_unrolled
+from conftest import grn_composed, layernorm, lstm_unrolled, rmsnorm
 from gradcheck import gradcheck
 from senticast.errors import ConfigError, ShapeError, TrainingError
 from senticast.nn import (
@@ -17,10 +17,11 @@ from senticast.nn import (
     VariableSelection,
     adam_step,
     causal_mask,
-    rmsnorm,
+    dropout_mask,
     zero_grads,
 )
-from senticast.nn.layers import LayerNorm, Linear, dropout
+from senticast.nn.autograd import gated_residual
+from senticast.nn.layers import LayerNorm, Linear
 
 
 def zero_params(block) -> None:
@@ -145,7 +146,8 @@ class TestGrn:
             zero_params(grn)
             x = Tensor(rng.normal(size=(3, 4)))
             out = grn(x)
-            expected = grn.norm(x)
+            norm = grn.norm
+            expected = rmsnorm(x, norm.gain) if norm.shift is None else layernorm(x, norm.gain, norm.shift)
             # gain is zeroed too, so both sides are the zero vector
             assert np.array_equal(out.data, expected.data)
             assert np.array_equal(out.data, np.zeros((3, 4)))
@@ -199,6 +201,138 @@ class TestGrn:
             coeff = Tensor(np.random.default_rng(102).normal(size=(2, 4)))
             report = gradcheck(lambda: (grn(x) * coeff).sum(), [x] + grn.parameters())
             assert report.passed, (variant, report.summary())
+
+
+# One GRN per setting of the fused op: (norm, residual, dropout, transform).
+GRN_NORMS = ("rmsnorm", "layernorm")
+GRN_RESIDUALS = ("identity", "skip")
+GRN_MASKS = ("no-mask", "mask")
+GRN_TRANSFORMS = ("silu", "silu-context", "swiglu", "relu")
+# Recorded nodes before the fused op: fc1's affine and silu, plus the context
+# matmul and add; swiglu's three matmuls, silu and product; relu's two matmuls and relu.
+TRANSFORM_NODES = {"silu": 2, "silu-context": 4, "swiglu": 5, "relu": 3}
+
+
+def grn_case(norm, residual, mask, transform, seed=0, rows=(3,)):
+    """A GRN with the given settings, an input and context needing gradients, and a call that fixes the mask."""
+    rng = np.random.default_rng(seed)
+    d_in = 4 if residual == "identity" else 6
+    grn = GatedResidualNetwork(
+        d_in, 5, 4, "grn", rng,
+        d_context=3 if transform == "silu-context" else None,
+        dropout_rate=0.3 if mask == "mask" else 0.0,
+        norm_type=norm,
+        ff_variant=transform if transform in ("swiglu", "relu") else None,
+    )
+    x = Parameter(rng.normal(size=rows + (d_in,)), "x")
+    ctx = Parameter(rng.normal(size=rows + (3,)), "ctx") if transform == "silu-context" else None
+
+    def call(forward=grn):
+        return forward(x, ctx, training=True, rng=np.random.default_rng(seed + 1))
+
+    inputs = [x] + ([ctx] if ctx is not None else [])
+    return grn, call, inputs
+
+
+def op_nodes(root: Tensor) -> int:
+    """Recorded ops reachable from root (leaves not counted)."""
+    seen, stack, count = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        count += bool(node._prev)
+        for child in node._prev:
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+    return count
+
+
+GRN_SETTINGS = [
+    (norm, residual, mask, transform)
+    for norm in GRN_NORMS for residual in GRN_RESIDUALS for mask in GRN_MASKS for transform in GRN_TRANSFORMS
+]
+GRN_IDS = ["-".join(case) for case in GRN_SETTINGS]
+
+
+class TestFusedGrn:
+    @pytest.mark.parametrize("setting", GRN_SETTINGS, ids=GRN_IDS)
+    def test_gradcheck(self, setting):
+        grn, call, inputs = grn_case(*setting)
+        coeff = Tensor(np.random.default_rng(9).normal(size=(3, 4)))
+        report = gradcheck(lambda: (call() * coeff).sum(), inputs + grn.parameters(), tol=1e-4)
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("setting", GRN_SETTINGS, ids=GRN_IDS)
+    def test_forward_is_bit_identical_to_composition(self, setting):
+        for rows in ((1,), (7,), (512,), (2, 5)):
+            grn, call, _ = grn_case(*setting, seed=len(rows) + rows[0], rows=rows)
+            expected = call(lambda *a, **k: grn_composed(grn, *a, **k)).data
+            assert np.array_equal(call().data, expected), rows
+
+    @pytest.mark.parametrize("setting", GRN_SETTINGS, ids=GRN_IDS)
+    def test_gradients_match_composition(self, setting):
+        grn, call, inputs = grn_case(*setting, seed=40, rows=(6,))
+        coeff = Tensor(np.random.default_rng(41).normal(size=(6, 4)))
+        params = inputs + grn.parameters()
+        grads = []
+        for forward in (grn, lambda *a, **k: grn_composed(grn, *a, **k)):
+            zero_grads(params)
+            (call(forward) * coeff).sum().backward()
+            grads.append([p.grad for p in params])
+        for p, fused, composed in zip(params, *grads):
+            assert np.max(np.abs(fused - composed)) <= 1e-12 * np.max(np.abs(composed)), p.name
+
+    @pytest.mark.parametrize("norm", GRN_NORMS)
+    def test_three_dim_input(self, norm):
+        grn, call, inputs = grn_case(norm, "skip", "mask", "silu-context", seed=50, rows=(2, 3))
+        assert call().shape == (2, 3, 4)
+        coeff = Tensor(np.random.default_rng(51).normal(size=(2, 3, 4)))
+        report = gradcheck(lambda: (call() * coeff).sum(), inputs + grn.parameters(), tol=1e-4)
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("setting", GRN_SETTINGS, ids=GRN_IDS)
+    def test_one_recorded_node_per_grn(self, setting):
+        grn, call, inputs = grn_case(*setting)
+        out = call()
+        assert op_nodes(out) == TRANSFORM_NODES[setting[3]] + 1
+        norm = grn.norm
+        expected = [inputs[0], grn.gate.weight, grn.gate.bias, norm.gain]
+        expected += [grn.skip.weight] if grn.skip is not None else []
+        expected += [norm.shift] if norm.shift is not None else []
+        assert all(any(t is e for t in out._prev) for e in expected)
+        assert len(out._prev) == len(expected) + 1  # and the transform output
+
+    def test_dims_checked(self):
+        grn, _, _ = grn_case("rmsnorm", "skip", "no-mask", "silu")
+        a, x = Tensor(np.ones((2, 5))), Tensor(np.ones((2, 6)))
+        with pytest.raises(ShapeError):  # identity residual of the wrong width
+            gated_residual(a, x, grn.gate.weight, grn.gate.bias, None, grn.norm.gain, None, None)
+        with pytest.raises(ShapeError):
+            gated_residual(x, x, grn.gate.weight, grn.gate.bias, grn.skip.weight, grn.norm.gain, None, None)
+
+
+class TestAffine:
+    @pytest.mark.parametrize("rows", [(), (5,), (2, 3)], ids=["1d", "2d", "3d"])
+    def test_forward_bits_and_gradcheck(self, rows):
+        rng = np.random.default_rng(60)
+        lin = Linear(4, 3, "lin", rng)
+        x = Parameter(rng.normal(size=rows + (4,)), "x")
+        out = lin(x)
+        assert np.array_equal(out.data, x.data @ lin.weight.data + lin.bias.data)
+        assert op_nodes(out) == 1
+        coeff = Tensor(rng.normal(size=rows + (3,)))
+        report = gradcheck(lambda: (lin(x) * coeff).sum(), [x] + lin.parameters(), tol=1e-4)
+        assert report.passed, report.summary()
+
+    def test_bias_free_linear_is_one_matmul(self):
+        rng = np.random.default_rng(61)
+        lin = Linear(4, 3, "lin", rng, bias=False)
+        x = Parameter(rng.normal(size=(2, 5, 4)), "x")
+        out = lin(x)
+        assert np.array_equal(out.data, x.data @ lin.weight.data)
+        assert op_nodes(out) == 1 and len(out._prev) == 2
+        report = gradcheck(lambda: (lin(x) ** 2).sum(), [x] + lin.parameters(), tol=1e-4)
+        assert report.passed, report.summary()
 
 
 class TestLstm:
@@ -437,22 +571,22 @@ class TestNormsAndDropout:
         rng = np.random.default_rng(22)
         norm = LayerNorm(6, "ln")
         x = Tensor(rng.normal(size=(4, 6)) * 3 + 5)
-        out = norm(x)
+        out = layernorm(x, norm.gain, norm.shift)
         assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-7)
         assert np.allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
 
     def test_dropout_is_inverted_and_seeded(self):
-        x = Tensor(np.ones((100, 10)))
-        out1 = dropout(x, 0.4, np.random.default_rng(7))
-        out2 = dropout(x, 0.4, np.random.default_rng(7))
-        assert np.array_equal(out1.data, out2.data)
-        kept = out1.data != 0
-        assert np.allclose(out1.data[kept], 1.0 / 0.6)
+        out1 = dropout_mask((100, 10), 0.4, np.random.default_rng(7))
+        out2 = dropout_mask((100, 10), 0.4, np.random.default_rng(7))
+        assert np.array_equal(out1, out2)
+        kept = out1 != 0
+        assert np.allclose(out1[kept], 1.0 / 0.6)
         assert abs(kept.mean() - 0.6) < 0.05
 
     def test_zero_rate_is_identity(self):
-        x = Tensor(np.ones((3, 3)))
-        assert dropout(x, 0.0, np.random.default_rng(0)) is x
+        rng = np.random.default_rng(0)
+        assert dropout_mask((3, 3), 0.0, rng) is None
+        assert rng.random() == np.random.default_rng(0).random()  # no draw
 
     def test_linear_bias_off_origin(self):
         rng = np.random.default_rng(23)

@@ -110,6 +110,18 @@ class TestMalformedInputs:
         assert main(["features", "--config", config]) == EXIT_VALIDATION
         assert f"embeddings.csv:{len(lines) + 1}: duplicate tweet_id" in caplog.text
 
+    def test_blank_ticker_exits_3_naming_line(self, tmp_path, caplog):
+        fixture = tmp_path / "fixture"
+        shutil.copytree(Path(FIXTURE_CONFIG).parent, fixture)
+        tweets = fixture / "tweets.csv"
+        lines = tweets.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = " "
+        lines[2] = ",".join(fields)
+        tweets.write_text("\n".join(lines) + "\n")
+        assert main(["preprocess", "--config", str(fixture / "config.cfg")]) == EXIT_VALIDATION
+        assert "tweets.csv:3: blank ticker" in caplog.text
+
 
 class TestUsageErrors:
     # argparse's own exit status for a usage error is 2, which would read as

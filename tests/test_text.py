@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import latent_sentiment_panels
-from senticast.errors import AlignmentError, NoObservations, ValidationError
+from senticast.errors import AlignmentError, NoObservations, ParseError, ValidationError
 from senticast.market import BusinessCalendar, OhlcvBar, PriceSeries
 from senticast.text import (
     AlignedPanel,
@@ -329,3 +329,26 @@ class TestTweetsCsv:
         assert tweets[0].sentiment == 1 and tweets[1].sentiment is None
         assert tweets[0].ticker == "AAPL"
         assert tweets[0].body == "hello, world"
+
+    def test_padded_and_lowercase_tickers_read_as_one_ticker(self, tmp_path):
+        path = tmp_path / "tweets.csv"
+        path.write_text(
+            "tweet_id,writer,post_date,ticker,body,sentiment\n"
+            "1,alice,2021-01-04 09:30:00, aapl,up,1\n"
+            "2,bob,2021-01-04 10:00:00,AAPL ,down,0\n"
+        )
+        tweets = load_tweets_csv(path)
+        assert [t.ticker for t in tweets] == ["AAPL", "AAPL"]
+        kept, stats = filter_corpus(tweets, ["aapl"])
+        assert stats["kept"] == 2 and {t.ticker for t in kept} == {"AAPL"}
+
+    @pytest.mark.parametrize("ticker", ["", "   "], ids=["empty", "whitespace"])
+    def test_blank_ticker_names_its_line(self, tmp_path, ticker):
+        path = tmp_path / "tweets.csv"
+        path.write_text(
+            "tweet_id,writer,post_date,ticker,body,sentiment\n"
+            "1,alice,2021-01-04 09:30:00,AAPL,up,1\n"
+            f"2,bob,2021-01-04 10:00:00,{ticker},down,0\n"
+        )
+        with pytest.raises(ParseError, match=r"tweets\.csv:3: blank ticker"):
+            load_tweets_csv(path)
