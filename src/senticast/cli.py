@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .fileio import read_csv, write_atomic
-from .metrics import MetricsRecord, compute_metrics, composite_rank
+from .metrics import compute_metrics, composite_rank
 from .models import naive_seasonal_forecast
 from .training import grid_search, predict_windows, train_model
 from .windows import FeatureSetSpec, build_windows, windows_from_normalizer
@@ -196,18 +196,6 @@ def _feature_spec(config: RunConfig, artifacts: Artifacts) -> FeatureSetSpec:
     return FeatureSetSpec(config.feature_set, embedding_dim)
 
 
-def _panel_atr(panel: text.AlignedPanel, period: int) -> list[float]:
-    """Wilder ATR over the panel's own bars (adjusted close = close)."""
-    bars = market.PriceSeries(
-        panel.ticker,
-        [
-            market.OhlcvBar(r.day, r.open, r.high, r.low, r.close, r.close, r.volume)
-            for r in panel.rows
-        ],
-    )
-    return market.atr(bars, period)
-
-
 def cmd_analyze(config: RunConfig, artifacts: Artifacts) -> None:
     panels = _load_panels(config, artifacts)
     correlations: dict[str, dict] = {}
@@ -220,27 +208,19 @@ def cmd_analyze(config: RunConfig, artifacts: Artifacts) -> None:
         closes = panel.column("close")
         returns, sigma = market.daily_returns_sigma(closes)
         sigmas[ticker] = {"sigma": sigma, "sum_squares": sigma * sigma}
-        for day, value in zip(panel.dates()[1:], returns):
+        for day, value in zip(panel.column("day")[1:], returns):
             return_rows.append([ticker, day.isoformat(), repr(value)])
 
-        volatility = _panel_atr(panel, config.atr_period)
         volume = panel.column("volume")
+        base = {"close": closes, "volume": volume, "volatility": market.atr(panel.rows, config.atr_period)}
         smoothed = analysis.correlation_table(
             {
-                "close": closes,
+                **base,
                 "volume": market.smooth(volume, "ewma", config.smoothing_span),
-                "volatility": volatility,
                 "sentiment_score": panel.column("score"),
             }
         )
-        raw = analysis.correlation_table(
-            {
-                "close": closes,
-                "volume": volume,
-                "volatility": volatility,
-                "sentiment_score": panel.column("score_raw"),
-            }
-        )
+        raw = analysis.correlation_table({**base, "sentiment_score": panel.column("score_raw")})
         correlations[ticker] = {
             "names": smoothed.names,
             "smoothed": smoothed.matrix,
@@ -367,15 +347,14 @@ def _read_predictions(path: Path) -> dict[str, tuple[list[float], list[float]]]:
 def cmd_evaluate(config: RunConfig, artifacts: Artifacts) -> None:
     require(artifacts.checkpoint)  # evaluation is meaningless without a trained model
     meta = json.loads(require(artifacts.predict_meta).read_text(encoding="utf-8"))
-    model_label = meta["model"]
-    feature_set = meta["feature_set"]
-    records: list[MetricsRecord] = []
-    for ticker, (truths, preds) in sorted(_read_predictions(require(artifacts.predictions)).items()):
-        records.append(compute_metrics(truths, preds, ticker, model_label, feature_set))
-    for ticker, (truths, preds) in sorted(
-        _read_predictions(require(artifacts.predictions_naive)).items()
-    ):
-        records.append(compute_metrics(truths, preds, ticker, "baseline", "close"))
+    records = [
+        compute_metrics(truths, preds, ticker, label, feature_set)
+        for path, label, feature_set in (
+            (artifacts.predictions, meta["model"], meta["feature_set"]),
+            (artifacts.predictions_naive, "baseline", "close"),
+        )
+        for ticker, (truths, preds) in sorted(_read_predictions(require(path)).items())
+    ]
 
     write_json(artifacts.metrics, [r.to_dict() for r in records])
     grouped = composite_rank(records)
@@ -449,8 +428,8 @@ def cmd_report(config: RunConfig, artifacts: Artifacts) -> None:
     for panel in panels:
         closes = market.min_max_scale(panel.column("close"))
         scores = market.min_max_scale(panel.column("score"))
-        volatility = market.min_max_scale(_panel_atr(panel, config.atr_period))
-        for day, close_s, score_s, vol_s in zip(panel.dates(), closes, scores, volatility):
+        volatility = market.min_max_scale(market.atr(panel.rows, config.atr_period))
+        for day, close_s, score_s, vol_s in zip(panel.column("day"), closes, scores, volatility):
             price_rows.append([panel.ticker, day.isoformat(), repr(close_s), repr(score_s)])
             vol_rows.append([panel.ticker, day.isoformat(), repr(vol_s), repr(score_s)])
     write_csv(

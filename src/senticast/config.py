@@ -16,6 +16,8 @@ from typing import get_args, get_type_hints
 
 from .errors import ConfigError, ParseError
 from .models import TrainConfig
+from .training import LOSSES, MODEL_KINDS
+from .windows import FEATURE_SET_KINDS
 
 
 @dataclass
@@ -43,11 +45,13 @@ class RunConfig:
     def validate(self) -> None:
         if not self.tickers:
             raise ConfigError("tickers must be nonempty")
-        if self.feature_set not in ("HLOV", "HLOVS", "HLOVE"):
+        if len(set(self.tickers)) < len(self.tickers):
+            raise ConfigError(f"tickers must be distinct, got {','.join(self.tickers)}")
+        if self.feature_set not in FEATURE_SET_KINDS:
             raise ConfigError(f"unknown feature set {self.feature_set!r}")
-        if self.model not in ("nlinear", "tft_lite"):
+        if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.loss not in ("dmse", "mse"):
+        if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if not 0.0 < self.split < 1.0:
             raise ConfigError(f"split must be in (0, 1), got {self.split}")
@@ -143,9 +147,9 @@ def _grid_values(path: Path, key: str, raw: str) -> list:
 
 
 def read_key_values(path: Path | str) -> dict[str, str]:
-    """`key = value` lines; # comments and blank lines ignored."""
+    """`key = value` lines; # comments and blank lines ignored; a UTF-8 byte-order mark is allowed."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

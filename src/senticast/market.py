@@ -30,9 +30,9 @@ class BusinessCalendar:
 
     @classmethod
     def from_holiday_file(cls, path: Path | str) -> "BusinessCalendar":
-        """One ISO date per line; blank lines and # comments ignored."""
+        """One ISO date per line; blank lines and # comments ignored; a UTF-8 byte-order mark is allowed."""
         days = []
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -161,25 +161,23 @@ def smooth(series: Sequence[float], method: str, span: int) -> list[float]:
     raise ValidationError(f"unknown smoothing method {method!r}")
 
 
-def true_range(bar: OhlcvBar, prev_close: float) -> float:
-    return max(bar.high, prev_close) - min(bar.low, prev_close)
-
-
-def atr(series: PriceSeries, n: int) -> list[float]:
-    """Average True Range with Wilder smoothing.
+def atr(bars: Sequence, n: int) -> list[float]:
+    """Average True Range with Wilder smoothing over bars with `high`, `low` and `close`.
 
     ATR_1 is the first bar's high-low range (no previous close exists);
-    afterwards ATR_t = ((n-1)/n) * ATR_{t-1} + (1/n) * TR_t.
+    afterwards ATR_t = ((n-1)/n) * ATR_{t-1} + (1/n) * TR_t, where
+    TR_t = max(high_t, close_{t-1}) - min(low_t, close_{t-1}).
     """
     if n < 1:
         raise ValidationError(f"atr period must be >= 1, got {n}")
-    if not series.bars:
+    if not bars:
         raise ValidationError("atr requires at least one bar")
     decay = (n - 1.0) / n
     gain = 1.0 / n
-    out = [series.bars[0].high - series.bars[0].low]
-    for prev, bar in zip(series.bars, series.bars[1:]):
-        out.append(out[-1] * decay + true_range(bar, prev.close) * gain)
+    out = [bars[0].high - bars[0].low]
+    for prev, bar in zip(bars, bars[1:]):
+        c = prev.close  # TR by conditionals that pick what max() and min() pick, without the two calls
+        out.append(out[-1] * decay + ((c if c > bar.high else bar.high) - (c if c < bar.low else bar.low)) * gain)
     return out
 
 

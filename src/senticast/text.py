@@ -26,6 +26,8 @@ _CASHTAG_RE = re.compile(r"\$[A-Za-z][A-Za-z0-9]*")
 _NON_ALNUM_RE = re.compile(r"[^A-Za-z0-9\s]+")
 _WS_RE = re.compile(r"\s+")
 
+PANEL_HEADER = ("date", "high", "low", "open", "volume", "close", "score", "score_raw", "holiday", "dow")
+
 
 @dataclass
 class TweetRecord:
@@ -73,11 +75,8 @@ class AlignedPanel:
     rows: list[PanelRow]
     embedding_dim: int = 0
 
-    def column(self, name: str) -> list[float]:
+    def column(self, name: str) -> list:
         return [getattr(row, name) for row in self.rows]
-
-    def dates(self) -> list[date]:
-        return [row.day for row in self.rows]
 
 
 def clean_tweet(body: str) -> str:
@@ -87,10 +86,6 @@ def clean_tweet(body: str) -> str:
     text = _CASHTAG_RE.sub(" ", text)
     text = _NON_ALNUM_RE.sub("", text)
     return _WS_RE.sub(" ", text).strip().lower()
-
-
-def _mentioned_tickers(body: str, known: dict[str, re.Pattern]) -> set[str]:
-    return {ticker for ticker, pattern in known.items() if pattern.search(body)}
 
 
 def filter_corpus(
@@ -105,50 +100,44 @@ def filter_corpus(
     tickers = sorted({t.upper() for t in known_tickers})
     if not tickers:
         raise ValidationError("known_tickers must be nonempty")
-    patterns = {
-        t: re.compile(rf"(?<![A-Za-z0-9])\$?{re.escape(t)}(?![A-Za-z0-9])", re.IGNORECASE)
-        for t in tickers
-    }
+    patterns = [
+        re.compile(rf"(?<![A-Za-z0-9])\$?{re.escape(t)}(?![A-Za-z0-9])", re.IGNORECASE) for t in tickers
+    ]
     stats = {
         "input": len(tweets),
         "missing_writer": 0,
         "multi_ticker": 0,
         "raw_duplicate": 0,
         "clean_duplicate": 0,
-        "kept": 0,
     }
 
     staged = []
     for tweet in tweets:
         if not tweet.writer or not tweet.writer.strip():
             stats["missing_writer"] += 1
-            continue
-        if len(_mentioned_tickers(tweet.body, patterns)) >= 2:
+        elif len([p for p in patterns if p.search(tweet.body)]) >= 2:
             stats["multi_ticker"] += 1
-            continue
-        staged.append(tweet)
+        else:
+            staged.append(tweet)
 
-    # Earliest-first ordering; ties resolved by input position for determinism.
+    # Earliest-first ordering; the sort is stable, so ties keep input order.
     staged.sort(key=lambda t: t.post_date)
 
+    # A raw-unique tweet keeps its raw key even when it is dropped as a clean duplicate.
     seen_raw: set[tuple[str, date, str]] = set()
-    deduped = []
-    for tweet in staged:
-        key = (tweet.ticker, tweet.calendar_day(), tweet.body)
-        if key in seen_raw:
-            stats["raw_duplicate"] += 1
-            continue
-        seen_raw.add(key)
-        deduped.append(tweet)
-
     seen_clean: set[tuple[str, date, str]] = set()
     kept = []
-    for tweet in deduped:
-        key = (tweet.ticker, tweet.calendar_day(), clean_tweet(tweet.body))
-        if key in seen_clean:
+    for tweet in staged:
+        raw = (tweet.ticker, tweet.calendar_day(), tweet.body)
+        if raw in seen_raw:
+            stats["raw_duplicate"] += 1
+            continue
+        seen_raw.add(raw)
+        clean = (raw[0], raw[1], clean_tweet(tweet.body))
+        if clean in seen_clean:
             stats["clean_duplicate"] += 1
             continue
-        seen_clean.add(key)
+        seen_clean.add(clean)
         kept.append(tweet)
 
     stats["kept"] = len(kept)
@@ -189,7 +178,7 @@ def aggregate_daily_text(
         buckets.setdefault((tweet.ticker, day), []).append(tweet)
 
     out = []
-    for (ticker, day), group in sorted(buckets.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (ticker, day), group in sorted(buckets.items()):  # keys are unique, so groups are never compared
         n_pos = sum(1 for t in group if t.sentiment == 1)
         n_neg = sum(1 for t in group if t.sentiment == 0)
         score1, score2 = sentiment_scores(n_neg, n_pos)
@@ -234,57 +223,32 @@ def align_panel(
     days = calendar.days_between(start, end)
     bars_by_day = {bar.date: bar for bar in prices.bars}
     text_by_day = {f.business_day: f for f in text}
+    dim = next((len(f.mean_embedding) for f in text if f.mean_embedding is not None), 0)
 
-    dim = 0
-    for f in text:
-        if f.mean_embedding is not None:
-            dim = len(f.mean_embedding)
-            break
-
-    first_day_with_text = min(d for d in days if d in text_by_day) if any(d in text_by_day for d in days) else None
-    if first_day_with_text is None:
+    observed = [text_by_day[d] for d in days if d in text_by_day]
+    if not observed:
         raise AlignmentError(f"{prices.ticker}: no text features inside the aligned range")
-
+    score = observed[0].score2
+    embedding = next((f.mean_embedding for f in observed if f.mean_embedding is not None), None)
     raw_scores: list[float] = []
     embeddings: list[list[float] | None] = []
-    last_score = text_by_day[first_day_with_text].score2
-    last_embedding = None
-    if dim:
-        for d in days:
-            feats = text_by_day.get(d)
-            if feats is not None and feats.mean_embedding is not None:
-                last_embedding = list(feats.mean_embedding)
-                break
     for d in days:
         feats = text_by_day.get(d)
         if feats is not None:
-            last_score = feats.score2
+            score = feats.score2
             if feats.mean_embedding is not None:
-                last_embedding = list(feats.mean_embedding)
-        raw_scores.append(last_score)
-        embeddings.append(list(last_embedding) if last_embedding is not None else None)
-
-    smoothed = smooth(raw_scores, "ewma", smoothing_span)
+                embedding = feats.mean_embedding
+        raw_scores.append(score)
+        embeddings.append(None if embedding is None else list(embedding))
 
     rows = []
-    for idx, d in enumerate(days):
+    for d, score, raw, embedding in zip(days, smooth(raw_scores, "ewma", smoothing_span), raw_scores, embeddings):
         bar = bars_by_day.get(d)
         if bar is None:
             raise AlignmentError(f"{prices.ticker}: missing price bar on business day {d.isoformat()}")
+        holiday = int(calendar.follows_holiday(d))
         rows.append(
-            PanelRow(
-                day=d,
-                high=bar.high,
-                low=bar.low,
-                open=bar.open,
-                volume=bar.volume,
-                close=bar.close,
-                score=smoothed[idx],
-                score_raw=raw_scores[idx],
-                embedding=embeddings[idx],
-                holiday=int(calendar.follows_holiday(d)),
-                day_of_week=d.weekday(),
-            )
+            PanelRow(d, bar.high, bar.low, bar.open, bar.volume, bar.close, score, raw, embedding, holiday, d.weekday())
         )
     return AlignedPanel(ticker=prices.ticker, rows=rows, embedding_dim=dim)
 
@@ -294,7 +258,10 @@ def align_panel(
 
 
 def load_tweets_csv(path: Path | str) -> list[TweetRecord]:
-    """Read `tweet_id,writer,post_date,ticker,body,sentiment` rows; tickers are stripped and upper-cased."""
+    """Read `tweet_id,writer,post_date,ticker,body,sentiment` rows; tickers are stripped and upper-cased.
+
+    Either every `post_date` carries a UTC offset or none does, so that they can be ordered.
+    """
     path = Path(path)
     expected = ("tweet_id", "writer", "post_date", "ticker", "body", "sentiment")
     out = []
@@ -307,6 +274,8 @@ def load_tweets_csv(path: Path | str) -> list[TweetRecord]:
             post_date = datetime.fromisoformat(row[2])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad post_date {row[2]!r}") from exc
+        if out and (post_date.tzinfo is None) != (out[0].post_date.tzinfo is None):
+            raise ParseError(f"{path}:{lineno}: post_date {row[2]!r} and the first row's differ in having a UTC offset")
         raw_sentiment = row[5].strip()
         sentiment: int | None = None
         if raw_sentiment:
@@ -353,11 +322,9 @@ def attach_embeddings(tweets: Sequence[TweetRecord], vectors: dict[str, list[flo
 
 
 def write_panel_csv(path: Path | str, panel: AlignedPanel) -> None:
-    header = ["date", "high", "low", "open", "volume", "close", "score", "score_raw", "holiday", "dow"]
-    header += [f"e{i}" for i in range(panel.embedding_dim)]
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(header)
+    writer.writerow([*PANEL_HEADER, *(f"e{i}" for i in range(panel.embedding_dim))])
     for row in panel.rows:
         values = [row.high, row.low, row.open, row.volume, row.close, row.score, row.score_raw]
         record = [row.day.isoformat(), *(repr(float(v)) for v in values)]
@@ -374,15 +341,14 @@ def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
     panel_rows = []
     rows = read_csv(path)
     _, header = next(rows)
-    base = ["date", "high", "low", "open", "volume", "close", "score", "score_raw", "holiday", "dow"]
-    if header[: len(base)] != base:
+    if tuple(header[: len(PANEL_HEADER)]) != PANEL_HEADER:
         raise ParseError(f"{path}:1: unexpected panel header")
-    dim = len(header) - len(base)
+    dim = len(header) - len(PANEL_HEADER)
     for lineno, row in rows:
         try:
             # Columns 1-7 are high..score_raw, in PanelRow's field order.
             values = [float(v) for v in row[1:8]]
-            embedding = [float(v) for v in row[len(base) :]] if dim else None
+            embedding = [float(v) for v in row[len(PANEL_HEADER) :]] if dim else None
             panel_rows.append(PanelRow(date.fromisoformat(row[0]), *values, embedding, int(row[8]), int(row[9])))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc

@@ -19,6 +19,7 @@ from .windows import CLOSE_COLUMN, FeatureSetSpec, Windows, build_windows
 log = logging.getLogger(__name__)
 
 MODEL_KINDS = ("nlinear", "tft_lite")
+LOSSES = ("dmse", "mse")
 
 
 def stack_windows(windows: Windows) -> Windows:
@@ -57,8 +58,8 @@ def train_model(
     All randomness (init, shuffling, dropout) derives from config.seed.
     """
     config.validate()
-    if loss not in ("dmse", "mse"):
-        raise ConfigError(f"loss must be dmse or mse, got {loss!r}")
+    if loss not in LOSSES:
+        raise ConfigError(f"loss must be one of {LOSSES}, got {loss!r}")
     windows = stack_windows(windows)
     if n_companies is None:
         n_companies = int(windows.company.max()) + 1

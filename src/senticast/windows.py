@@ -234,7 +234,7 @@ def windows_from_normalizer(
     for company, panel in enumerate(panels):
         rows.append(normalizer.normalize(company, panel_matrix(panel, spec)))
         known.append(known_future_matrix(panel))
-        days += panel.dates()
+        days += panel.column("day")
         last = np.arange(offset + lookback - 1, offset + len(panel.rows) - horizon)
         ends.append(last)
         companies.append(np.full(len(last), company, dtype=np.int64))

@@ -202,7 +202,7 @@ def test_c04_atr_closed_form(capsys):
     ok = True
     detail = ""
     for n in (2, 14):
-        values = atr(series, n)
+        values = atr(series.bars, n)
         expected = first_range
         for t in range(50):
             if values[t] != expected:

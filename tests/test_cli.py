@@ -122,6 +122,28 @@ class TestMalformedInputs:
         assert main(["preprocess", "--config", str(fixture / "config.cfg")]) == EXIT_VALIDATION
         assert "tweets.csv:3: blank ticker" in caplog.text
 
+    def test_mixed_utc_offsets_exit_3_naming_line(self, tmp_path, caplog):
+        fixture = tmp_path / "fixture"
+        shutil.copytree(Path(FIXTURE_CONFIG).parent, fixture)
+        tweets = fixture / "tweets.csv"
+        lines = tweets.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[2] += "+00:00"
+        lines[3] = ",".join(fields)
+        tweets.write_text("\n".join(lines) + "\n")
+        assert main(["preprocess", "--config", str(fixture / "config.cfg")]) == EXIT_VALIDATION
+        assert "tweets.csv:4: post_date" in caplog.text
+
+    @pytest.mark.parametrize("command", list(cli._DISPATCH))
+    def test_repeated_ticker_exits_3_at_every_stage(self, tmp_path, caplog, command):
+        fixture = tmp_path / "fixture"
+        shutil.copytree(Path(FIXTURE_CONFIG).parent, fixture)
+        config = fixture / "config.cfg"
+        config.write_text(config.read_text().replace("tickers = AAA,BBB", "tickers = AAA,aaa"))
+        assert main([command, "--config", str(config)]) == EXIT_VALIDATION
+        assert "tickers must be distinct, got AAA,AAA" in caplog.text
+        assert not (fixture / "out").exists()
+
 
 class TestUsageErrors:
     # argparse's own exit status for a usage error is 2, which would read as

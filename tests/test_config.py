@@ -11,6 +11,8 @@ from conftest import MALFORMED_CASES, MALFORMED_IDS, SETTING_CASES, SETTING_IDS
 from senticast.config import RunConfig, apply_overrides, load_run_config, read_key_values
 from senticast.errors import ConfigError, ParseError
 from senticast.models import TrainConfig
+from senticast.training import LOSSES, MODEL_KINDS
+from senticast.windows import FEATURE_SET_KINDS
 
 MINIMAL = """
 paths.ohlcv_dir = data/ohlcv
@@ -37,6 +39,12 @@ class TestKeyValueFormat:
         path.write_text("just a line\n")
         with pytest.raises(ParseError, match="key = value"):
             read_key_values(path)
+
+    def test_byte_order_mark_and_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "kv.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.lstrip().replace("\n", "\r\n").encode())
+        assert load_run_config(path).tickers == ["AAA", "BBB"]
+        assert read_key_values(path)["paths.output"] == "out"
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "kv.cfg"
@@ -84,6 +92,22 @@ class TestLoadRunConfig:
         bad = MINIMAL.replace("tickers = aaa, bbb", "tickers = ")
         with pytest.raises(ConfigError, match="tickers"):
             load_run_config(write_config(tmp_path, bad))
+
+    def test_repeated_ticker_rejected(self, tmp_path):
+        bad = MINIMAL.replace("tickers = aaa, bbb", "tickers = aaa, bbb, AAA")
+        with pytest.raises(ConfigError, match="tickers must be distinct, got AAA,BBB,AAA"):
+            load_run_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize(
+        "key, kinds",
+        [("feature_set", FEATURE_SET_KINDS), ("train.model", MODEL_KINDS), ("train.loss", LOSSES)],
+        ids=["feature_set", "model", "loss"],
+    )
+    def test_enumerations_are_the_modules_own(self, tmp_path, key, kinds):
+        for kind in kinds:
+            load_run_config(write_config(tmp_path, MINIMAL + f"{key} = {kind}\n"))
+        with pytest.raises(ConfigError, match="(?i)nope"):
+            load_run_config(write_config(tmp_path, MINIMAL + f"{key} = nope\n"))
 
     def test_invalid_model_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="model"):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from datetime import date
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,15 +142,23 @@ def atr_oracle(series: PriceSeries, n: int) -> list[float]:
     return values
 
 
+class TestHolidayFile:
+    def test_byte_order_mark_and_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "holidays.txt"
+        path.write_bytes(b"\xef\xbb\xbf2020-07-03\r\n# comment\r\n\r\n2020-12-25\r\n")
+        calendar = BusinessCalendar.from_holiday_file(path)
+        assert calendar.holidays == {date(2020, 7, 3), date(2020, 12, 25)}
+
+
 class TestAtr:
     def test_constant_bars_yield_zero(self):
         series = make_bars([(5.0, 5.0, 5.0)] * 10)
-        assert atr(series, 14) == [0.0] * 10
+        assert atr(series.bars, 14) == [0.0] * 10
 
     def test_two_day_hand_case(self):
         series = make_bars([(10.0, 8.0, 9.0), (11.0, 9.0, 10.0)])
         # TR_2 = max(11, 9) - min(9, 9) = 2; ATR = 0.5*2 + 0.5*2
-        assert atr(series, 2) == [2.0, 2.0]
+        assert atr(series.bars, 2) == [2.0, 2.0]
 
     @pytest.mark.parametrize("n", [2, 14])
     def test_geometric_decay_from_single_nonzero_start(self, n):
@@ -161,7 +170,7 @@ class TestAtr:
         for _ in range(49):
             bars.append(OhlcvBar(day, 5.0, 5.0, 5.0, 5.0, 5.0, 1.0))
             day = _next(day)
-        values = atr(PriceSeries("TST", bars), n)
+        values = atr(PriceSeries("TST", bars).bars, n)
         expected = a
         for t in range(50):
             assert values[t] == expected
@@ -179,7 +188,7 @@ class TestAtr:
                     close = rng.uniform(low, high)
                     hlc.append((high, low, close))
                 series = make_bars(hlc)
-                assert atr(series, n) == atr_oracle(series, n)
+                assert atr(series.bars, n) == atr_oracle(series, n)
 
     def test_nonnegative_on_valid_bars(self):
         rng = np.random.default_rng(3)
@@ -190,11 +199,16 @@ class TestAtr:
             high = close * (1 + abs(rng.normal(0, 0.05)))
             close = rng.uniform(low, high)
             hlc.append((high, low, close))
-        assert all(v >= 0 for v in atr(make_bars(hlc), 7))
+        assert all(v >= 0 for v in atr(make_bars(hlc).bars, 7))
+
+    def test_takes_any_bars_with_high_low_close(self):
+        series = make_bars([(10.0, 8.0, 9.0), (11.0, 9.0, 10.0), (12.5, 9.5, 12.0)])
+        plain = [SimpleNamespace(high=b.high, low=b.low, close=b.close) for b in series.bars]
+        assert atr(plain, 2) == atr(series.bars, 2) == atr_oracle(series, 2)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError):
-            atr(PriceSeries("TST", []), 14)
+            atr(PriceSeries("TST", []).bars, 14)
 
 
 class TestDailyReturns:

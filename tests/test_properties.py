@@ -2,14 +2,28 @@
 
 from __future__ import annotations
 
+import re
 import tempfile
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from senticast.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from senticast.market import BusinessCalendar, OhlcvBar, PriceSeries, smooth
 from senticast.models import TrainConfig
+from senticast.text import (
+    AlignedPanel,
+    DailyTextFeatures,
+    PanelRow,
+    TweetRecord,
+    align_panel,
+    clean_tweet,
+    filter_corpus,
+    read_panel_csv,
+    write_panel_csv,
+)
 from senticast.training import build_model
 from senticast.windows import FeatureSetSpec, Normalizer
 
@@ -67,3 +81,152 @@ def test_checkpoint_round_trip(parts):
     for a, b in zip(original, loaded):
         assert a.data.shape == b.data.shape
         assert a.data.tobytes() == b.data.tobytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MONDAY = date(2021, 1, 4)
+CAL = BusinessCalendar([date(2021, 1, 13), date(2021, 1, 20)])
+
+
+@st.composite
+def panels(draw):
+    dim = draw(st.integers(0, 3))
+    as_numpy = draw(st.booleans())  # numpy-scalar floats must be written as plain floats
+    days = CAL.days_between(MONDAY, MONDAY + timedelta(days=draw(st.integers(0, 20))))
+    rows = []
+    for day in days:
+        values = [draw(FINITE) for _ in range(7)]
+        if as_numpy:
+            values = [np.float64(v) for v in values]
+        embedding = [draw(FINITE) for _ in range(dim)] if dim else None
+        rows.append(PanelRow(day, *values, embedding, draw(st.integers(0, 1)), day.weekday()))
+    return AlignedPanel("TST", rows, dim)
+
+
+@settings(max_examples=50, deadline=None)
+@given(panels())
+def test_panel_csv_round_trip_is_exact(panel):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_panel_csv(first, panel)
+        loaded = read_panel_csv(first, panel.ticker)
+        write_panel_csv(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded.embedding_dim == panel.embedding_dim
+    assert len(loaded.rows) == len(panel.rows)
+    for a, b in zip(panel.rows, loaded.rows):
+        floats = (a.high, a.low, a.open, a.volume, a.close, a.score, a.score_raw)
+        embedding = [float(v) for v in a.embedding] if a.embedding is not None else None
+        assert b == PanelRow(a.day, *(float(v) for v in floats), embedding, a.holiday, a.day_of_week)
+        assert all(type(v) is float for v in (b.high, b.close, b.score, *(b.embedding or [])))
+
+
+@st.composite
+def alignments(draw):
+    """Bars on every business day of one span; text on a random subset of a shifted span."""
+    all_days = CAL.days_between(MONDAY, MONDAY + timedelta(days=40))
+    lo, hi = sorted(draw(st.lists(st.integers(0, len(all_days) - 1), min_size=2, max_size=2)))
+    bars = [
+        OhlcvBar(d, 10.0 + i, 11.0 + i, 9.0 + i, 10.5 + i, 10.5 + i, 100.0 * i)
+        for i, d in enumerate(all_days[lo : hi + 1])
+    ]
+    dim = draw(st.integers(0, 2))
+    text_days = draw(st.lists(st.sampled_from(all_days), min_size=1, max_size=20, unique=True))
+    features = [
+        DailyTextFeatures(
+            day, "TST", 1, 1, 0.5, draw(st.floats(0, 5)),
+            [draw(st.floats(-1, 1)) for _ in range(dim)] if dim and draw(st.booleans()) else None,
+        )
+        for day in sorted(text_days)
+    ]
+    return PriceSeries("TST", bars), features, draw(st.integers(1, 20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(alignments())
+def test_align_panel_fills_from_latest_observed_day(case):
+    prices, features, span = case
+    days = CAL.days_between(
+        max(prices.bars[0].date, features[0].business_day), min(prices.bars[-1].date, features[-1].business_day)
+    )
+    observed = [f for f in features if f.business_day in days]
+    if not observed:
+        return  # disjoint or gap-only ranges raise AlignmentError; their cases are in test_text.py
+    panel = align_panel(prices, features, CAL, span)
+    assert [row.day for row in panel.rows] == days
+
+    def source(day, candidates):
+        earlier = [f for f in candidates if f.business_day <= day]
+        return earlier[-1] if earlier else candidates[0]
+
+    with_embedding = [f for f in observed if f.mean_embedding is not None]
+    for row in panel.rows:
+        assert row.score_raw == source(row.day, observed).score2
+        expected = source(row.day, with_embedding).mean_embedding if with_embedding else None
+        assert row.embedding == expected
+    assert [row.score for row in panel.rows] == smooth([row.score_raw for row in panel.rows], "ewma", span)
+    embeddings = [row.embedding for row in panel.rows if row.embedding is not None]
+    assert len({id(e) for e in embeddings}) == len(embeddings)  # no row shares another's list
+
+
+TICKERS = ["AAA", "BBB"]
+BODIES = ["up", "Up!", "up @x", "$AAA up", "down", "down https://t.co/q", "AAA and BBB", "$bbb"]
+
+
+@st.composite
+def corpora(draw):
+    n = draw(st.integers(0, 30))
+    start = datetime(2021, 1, 4, 9)
+    return [
+        TweetRecord(
+            str(i),
+            draw(st.sampled_from(["w", "v", "", "  "])),
+            start + timedelta(hours=draw(st.integers(0, 40))),  # repeats give post_date ties
+            draw(st.sampled_from(TICKERS)),
+            draw(st.sampled_from(BODIES)),
+        )
+        for i in range(n)
+    ]
+
+
+def filter_two_pass(tweets, known):
+    """Independent route: the raw-body dedupe over the whole corpus, then the clean-body one."""
+    patterns = [re.compile(rf"(?<![A-Za-z0-9])\$?{t}(?![A-Za-z0-9])", re.IGNORECASE) for t in known]
+    stats = {"input": len(tweets), "missing_writer": 0, "multi_ticker": 0, "raw_duplicate": 0, "clean_duplicate": 0}
+    staged = []
+    for t in tweets:
+        if not t.writer.strip():
+            stats["missing_writer"] += 1
+        elif sum(bool(p.search(t.body)) for p in patterns) >= 2:
+            stats["multi_ticker"] += 1
+        else:
+            staged.append(t)
+    staged = sorted(staged, key=lambda t: t.post_date)
+    for stage, key in (("raw_duplicate", lambda t: t.body), ("clean_duplicate", lambda t: clean_tweet(t.body))):
+        seen, survivors = set(), []
+        for t in staged:
+            k = (t.ticker, t.post_date.date(), key(t))
+            if k in seen:
+                stats[stage] += 1
+            else:
+                seen.add(k)
+                survivors.append(t)
+        staged = survivors
+    stats["kept"] = len(staged)
+    return staged, stats
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora())
+def test_filter_corpus_partitions_the_input(tweets):
+    kept, stats = filter_corpus(tweets, TICKERS)
+    assert stats["input"] == len(tweets)
+    assert sum(v for k, v in stats.items() if k != "input") == len(tweets)
+    assert stats["kept"] == len(kept)
+    raw = [(t.ticker, t.calendar_day(), t.body) for t in kept]
+    clean = [(t.ticker, t.calendar_day(), clean_tweet(t.body)) for t in kept]
+    assert len(set(raw)) == len(raw) and len(set(clean)) == len(clean)
+    position = {id(t): i for i, t in enumerate(tweets)}
+    order = [(t.post_date, position[id(t)]) for t in kept]
+    assert order == sorted(order)
+    assert (kept, stats) == filter_two_pass(tweets, TICKERS)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from datetime import date, datetime
 
@@ -351,4 +352,30 @@ class TestTweetsCsv:
             f"2,bob,2021-01-04 10:00:00,{ticker},down,0\n"
         )
         with pytest.raises(ParseError, match=r"tweets\.csv:3: blank ticker"):
+            load_tweets_csv(path)
+
+    def test_all_offset_aware_post_dates_load(self, tmp_path):
+        path = tmp_path / "tweets.csv"
+        path.write_text(
+            "tweet_id,writer,post_date,ticker,body,sentiment\n"
+            "1,alice,2021-01-04 09:30:00+00:00,AAPL,up,1\n"
+            "2,bob,2021-01-04 10:00:00-05:00,AAPL,down,0\n"
+        )
+        kept, _ = filter_corpus(load_tweets_csv(path), ["AAPL"])
+        assert [t.tweet_id for t in kept] == ["1", "2"]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("2021-01-04 09:30:00", "2021-01-04 10:00:00+00:00"), ("2021-01-04 09:30:00+01:00", "2021-01-04 10:00:00")],
+        ids=["naive-then-aware", "aware-then-naive"],
+    )
+    def test_mixed_utc_offsets_name_the_line(self, tmp_path, first, second):
+        path = tmp_path / "tweets.csv"
+        path.write_text(
+            "tweet_id,writer,post_date,ticker,body,sentiment\n"
+            f"1,alice,{first},AAPL,up,1\n"
+            f"2,bob,{second},AAPL,down,0\n"
+        )
+        message = f"tweets.csv:3: post_date '{second}' and the first row's differ in having a UTC offset"
+        with pytest.raises(ParseError, match=re.escape(message)):
             load_tweets_csv(path)
