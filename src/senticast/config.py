@@ -9,6 +9,7 @@ the same parse, so a malformed value raises `ConfigError` naming its key.
 
 from __future__ import annotations
 
+import re
 import types
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -146,12 +147,19 @@ def _grid_values(path: Path, key: str, raw: str) -> list:
     return [setting.parse(part.strip(), f"{path}: {key}") for part in raw.split(",") if part.strip()]
 
 
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
 def read_key_values(path: Path | str) -> dict[str, str]:
-    """`key = value` lines; # comments and blank lines ignored; a UTF-8 byte-order mark is allowed."""
+    """`key = value` lines and blank lines; a UTF-8 byte-order mark is allowed.
+
+    A `#` at the start of a line or after whitespace starts a comment that
+    runs to the end of the line; any other `#` (as in `out#1`) is text.
+    """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.sub("", raw).strip()
+        if not line:
             continue
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected 'key = value'")

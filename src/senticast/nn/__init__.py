@@ -8,7 +8,7 @@ from .blocks import (
     causal_mask,
 )
 from .layers import LayerNorm, Linear, Module, RMSNorm, SwigluFF, dropout_mask
-from .optim import adam_step
+from .optim import ParamArena, adam_step
 
 __all__ = [
     "GatedResidualNetwork",
@@ -18,6 +18,7 @@ __all__ = [
     "LstmEncoder",
     "Module",
     "MultiHeadAttention",
+    "ParamArena",
     "Parameter",
     "RMSNorm",
     "SwigluFF",

@@ -9,10 +9,15 @@ reference counting as soon as its last tensor is dropped.  Calling
 backward() on a scalar output topologically orders the graph and visits
 each op exactly once in reverse, accumulating gradients into its inputs;
 a second call on the same graph raises instead of adding the gradients
-again.  The op set is the minimum the forecasting blocks need; three ops
-fuse a block into one node with a numpy backward: `affine` (x @ W + b),
-`gated_residual` (a gated residual network after its transform) and
-`lstm_sequence` (one LSTM layer over a whole sequence).
+again.  A Parameter owns its gradient array (while training, a view into
+the gradient vector of `optim.ParamArena`), so its gradients are added
+into that array in place.  Any other tensor takes its first incoming
+array as is and rebinds to a fresh sum after that, so an array that an
+op handed on is never written.  The op set is the minimum the
+forecasting blocks need; three ops fuse a block into one node with a
+numpy backward: `affine` (x @ W + b), `gated_residual` (a gated residual
+network after its transform) and `lstm_sequence` (one LSTM layer over
+a whole sequence).
 """
 
 from __future__ import annotations
@@ -199,16 +204,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable tensor with Adam moment state."""
+    """Named trainable tensor; its gradient array is its own and is added to in place."""
 
-    __slots__ = ("name", "adam_m", "adam_v", "adam_step")
+    __slots__ = ("name",)
 
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.adam_m = np.zeros_like(self.data)
-        self.adam_v = np.zeros_like(self.data)
-        self.adam_step = 0
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -368,6 +370,7 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
+    """Drop each gradient.  A packed parameter then leaves its arena, whose next adam_step raises."""
     for p in params:
         p.grad = None
 
@@ -405,10 +408,17 @@ def _result(data: np.ndarray, *edges: tuple[Tensor | None, Callable[[np.ndarray]
 
 
 def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
-    # Accumulation always rebinds (never writes in place), so sharing the
-    # incoming array on first touch is safe.
+    # A parameter's gradient is its own array (an arena view, or a copy made
+    # on first touch), so adding in place is safe.  Any other tensor shares
+    # the incoming array on first touch, which another node may also hold,
+    # so it rebinds instead.
     grad = _unbroadcast(grad, tensor.data.shape)
-    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
+    if tensor.grad is None:
+        tensor.grad = grad.copy() if isinstance(tensor, Parameter) else grad
+    elif isinstance(tensor, Parameter):
+        tensor.grad += grad
+    else:
+        tensor.grad = tensor.grad + grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -11,8 +11,8 @@ import numpy as np
 from .errors import ConfigError, SenticastError, TrainingError, ValidationError
 from .losses import dmse_loss_batch, mse_loss_batch
 from .models import NLinear, TftLite, TrainConfig
-from .nn.autograd import no_grad, zero_grads
-from .nn.optim import adam_step
+from .nn.autograd import no_grad
+from .nn.optim import ParamArena, adam_step
 from .text import AlignedPanel
 from .windows import CLOSE_COLUMN, FeatureSetSpec, Windows, build_windows
 
@@ -55,7 +55,9 @@ def train_model(
 ):
     """Train a fresh model of the given kind; returns (model, per-epoch mean loss).
 
-    All randomness (init, shuffling, dropout) derives from config.seed.
+    All randomness (init, shuffling, dropout) derives from config.seed.  The
+    model's parameters are packed into one `ParamArena` for the fit and stay
+    views into its value and gradient vectors afterwards.
     """
     config.validate()
     if loss not in LOSSES:
@@ -67,7 +69,7 @@ def train_model(
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(3)
     ]
     model = build_model(model_kind, config, windows.rows.shape[1], n_companies, init_rng)
-    params = model.parameters()
+    arena = ParamArena(model.parameters())
 
     total = len(windows)
     curve: list[float] = []
@@ -89,9 +91,9 @@ def train_model(
                 raise TrainingError(
                     f"non-finite training loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
-            zero_grads(params)
+            arena.grads.fill(0.0)
             loss_t.backward()
-            adam_step(params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+            adam_step(arena, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
             epoch_loss += value * len(batch_idx)
         curve.append(epoch_loss / total)
     return model, curve

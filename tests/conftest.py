@@ -59,6 +59,24 @@ def spearman_oracle(x, y) -> float:
     return cov / math.sqrt(vx * vy)
 
 
+def adam_reference(params, state: dict, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """Per-parameter Adam with bias correction; `state` maps a name to (step, m, v).
+
+    A parameter with no gradient steps with a zero one.  Each update
+    rebinds `.data`, so run it on parameters that are not in an arena.
+    """
+    for p in params:
+        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+        step, m, v = state.get(p.name, (0, np.zeros_like(p.data), np.zeros_like(p.data)))
+        step += 1
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        state[p.name] = (step, m, v)
+        m_hat = m / (1.0 - beta1 ** step)
+        v_hat = v / (1.0 - beta2 ** step)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 # Every setting with a scalar value: (config-file key, flag and --set name,
 # raw value, attribute path on RunConfig, parsed value).  Written out by hand,
 # independently of senticast.config.SETTINGS, so that a key that changes or

@@ -10,7 +10,7 @@ from conftest import tft_gradcheck_fixture
 from gradcheck import gradcheck
 from senticast.errors import GraphReuseError, ShapeError
 from senticast.losses import mse_loss_batch
-from senticast.nn import Parameter, Tensor, concat, no_grad, zero_grads
+from senticast.nn import ParamArena, Parameter, Tensor, concat, no_grad, zero_grads
 from senticast.nn.autograd import _sigmoid
 
 
@@ -183,6 +183,27 @@ def test_sigmoid_matches_masked_scatter_form():
     reference[~pos] = ex / (1.0 + ex)
     for view, expected in ((x, reference), (x[:, 2:7], reference[:, 2:7]), (x.T, reference.T)):
         assert np.array_equal(_sigmoid(view), expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["loose", "arena"])
+def test_parameter_gradient_never_writes_an_array_it_was_handed(packed):
+    p = Parameter(np.asarray([1.0, -2.0]), "p")
+    q = Parameter(np.asarray([0.5, 4.0]), "q")
+    if packed:
+        ParamArena([p, q])
+    h = p * 3.0  # p's second edge, reached after y's
+    y = p + h  # y hands its incoming array to both p and the interior node h
+    (y * q).sum().backward()
+    assert p.grad.tolist() == [2.0, 16.0]  # (1 + 3) * q
+    assert y.grad.tolist() == [0.5, 4.0]
+    assert h.grad.tolist() == [0.5, 4.0]
+    assert q.grad.tolist() == [4.0, -8.0]
+
+
+def test_parameter_first_touched_by_a_broadcast_view_adds_later_edges():
+    p = Parameter(np.asarray([1.0, 2.0, 3.0]), "p")
+    (p.sum() + (p * 2.0).sum()).backward()  # sum's gradient is a read-only broadcast
+    assert p.grad.tolist() == [3.0, 3.0, 3.0]
 
 
 def test_zero_grads_clears():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import grn_composed, layernorm, lstm_unrolled, rmsnorm
+from conftest import adam_reference, grn_composed, layernorm, lstm_unrolled, rmsnorm
 from gradcheck import gradcheck
 from senticast.errors import ConfigError, ShapeError, TrainingError
 from senticast.nn import (
@@ -11,6 +11,7 @@ from senticast.nn import (
     LstmEncoder,
     Module,
     MultiHeadAttention,
+    ParamArena,
     Parameter,
     SwigluFF,
     Tensor,
@@ -508,16 +509,18 @@ class TestVariableSelection:
 class TestAdam:
     def test_first_step_moves_by_lr_times_sign(self):
         p = Parameter(np.asarray([1.0, -2.0, 3.0]), "p")
-        p.grad = np.asarray([0.5, -0.25, 1.5])
-        adam_step([p], lr=0.01)
+        arena = ParamArena([p])
+        p.grad[...] = [0.5, -0.25, 1.5]
+        adam_step(arena, lr=0.01)
         # bias-corrected first step is lr * g / (|g| + eps)
         assert np.allclose(p.data, [1.0 - 0.01, -2.0 + 0.01, 3.0 - 0.01], atol=1e-6)
-        assert p.adam_step == 1
+        assert arena.step == 1
 
     def test_zero_gradient_fresh_state_is_noop(self):
         p = Parameter(np.asarray([1.0, 2.0]), "p")
-        p.grad = np.zeros(2)
-        adam_step([p], lr=0.1)
+        arena = ParamArena([p])
+        p.grad[...] = np.zeros(2)
+        adam_step(arena, lr=0.1)
         assert np.array_equal(p.data, [1.0, 2.0])
 
     def test_identical_replicas_stay_bitwise_equal(self):
@@ -525,18 +528,78 @@ class TestAdam:
         grads = [rng.normal(size=4) for _ in range(5)]
         a = Parameter(np.ones(4), "a")
         b = Parameter(np.ones(4), "b")
+        arena_a, arena_b = ParamArena([a]), ParamArena([b])
         for g in grads:
-            a.grad = g.copy()
-            b.grad = g.copy()
-            adam_step([a], lr=0.05)
-            adam_step([b], lr=0.05)
+            a.grad[...] = g
+            b.grad[...] = g
+            adam_step(arena_a, lr=0.05)
+            adam_step(arena_b, lr=0.05)
         assert np.array_equal(a.data, b.data)
 
     def test_nonfinite_gradient_names_parameter(self):
         p = Parameter(np.ones(2), "layer.weight")
-        p.grad = np.asarray([np.nan, 0.0])
+        arena = ParamArena([Parameter(np.ones(3), "other"), p])
+        p.grad[...] = [np.nan, 0.0]
         with pytest.raises(TrainingError, match="layer.weight"):
-            adam_step([p], lr=0.1)
+            adam_step(arena, lr=0.1)
+
+    def test_arena_steps_match_reference_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        shapes = [(), (1,), (3, 4), (5,), (2, 3, 2), (4, 1)]
+        init = [rng.normal(size=shape) for shape in shapes]
+        packed = [Parameter(x.copy(), f"p{i}") for i, x in enumerate(init)]
+        loose = [Parameter(x.copy(), f"p{i}") for i, x in enumerate(init)]
+        arena = ParamArena(packed)
+        hyper = dict(lr=0.05, beta1=0.8, beta2=0.99, eps=1e-8)
+        state: dict = {}
+        for _ in range(25):
+            coeffs = [rng.normal(size=shape) for shape in shapes]
+
+            def loss(params):  # the last parameter never receives a gradient
+                terms = [(p * c + p * p).sum() for p, c in zip(params[:-1], coeffs)]
+                return sum(terms[1:], terms[0])
+
+            arena.grads.fill(0.0)
+            loss(packed).backward()
+            zero_grads(loose)
+            loss(loose).backward()
+            assert loose[-1].grad is None and not packed[-1].grad.any()
+            adam_step(arena, **hyper)
+            adam_reference(loose, state, **hyper)
+            for a, b in zip(packed, loose):
+                assert a.data.shape == b.data.shape
+                assert np.array_equal(a.data, b.data), a.name
+        assert arena.step == state["p0"][0] == 25
+        assert np.array_equal(arena.m, np.concatenate([state[p.name][1].ravel() for p in loose]))
+
+    def test_packing_keeps_values_and_shares_memory(self):
+        p = Parameter(np.arange(6.0).reshape(2, 3), "p")
+        q = Parameter(np.asarray(7.0), "q")
+        arena = ParamArena([p, q])
+        assert arena.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+        assert p.data.shape == (2, 3) and q.data.shape == ()
+        p.data[1, 2] = -1.0
+        q.grad[...] = 2.0
+        assert arena.values[5] == -1.0 and arena.grads[6] == 2.0
+
+    def test_packing_a_parameter_twice_raises(self):
+        p = Parameter(np.ones(2), "p")
+        with pytest.raises(TrainingError, match="twice"):
+            ParamArena([p, Parameter(np.ones(1), "q"), p])
+
+    @pytest.mark.parametrize("detach", ["zero_grads", "rebind_data", "rebind_grad"])
+    def test_parameter_detached_from_arena_raises(self, detach):
+        p = Parameter(np.ones(2), "p")
+        q = Parameter(np.ones(3), "layer.q")
+        arena = ParamArena([p, q])
+        if detach == "zero_grads":
+            zero_grads([q])
+        elif detach == "rebind_data":
+            q.data = q.data + 0.0
+        else:
+            q.grad = np.ones(3)
+        with pytest.raises(TrainingError, match="layer.q"):
+            adam_step(arena, lr=0.1)
 
 
 class TestGradcheckHarness:

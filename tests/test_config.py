@@ -34,6 +34,22 @@ class TestKeyValueFormat:
         path.write_text("# heading\n\na = 1\n  b = two \n")
         assert read_key_values(path) == {"a": "1", "b": "two"}
 
+    def test_hash_after_whitespace_starts_a_comment(self, tmp_path):
+        path = tmp_path / "kv.cfg"
+        path.write_text("a = 1   # one\nb = out#1\nc = x\t# tab\n  # indented\nd = #\ne=f#g # h\n")
+        assert read_key_values(path) == {"a": "1", "b": "out#1", "c": "x", "d": "", "e": "f#g"}
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1, "README should hold one ini config example"
+        config = load_run_config(write_config(tmp_path, blocks[0]))
+        assert config.feature_set == "HLOVS"
+        assert config.ohlcv_dir == (tmp_path / "ohlcv").resolve()
+        assert config.holidays_file == (tmp_path / "holidays.txt").resolve()
+        assert (config.model, config.loss, config.tickers) == ("tft_lite", "dmse", ["AAA", "BBB"])
+        assert config.grid == {"lookback": [5, 15]}
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "kv.cfg"
         path.write_text("just a line\n")

@@ -5,8 +5,11 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from senticast.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from senticast.errors import ConfigError, ValidationError
+from senticast.losses import dmse_loss_batch
 from senticast.models import TrainConfig
+from senticast.nn import zero_grads
 from senticast.text import AlignedPanel, PanelRow
 from senticast.training import (
     _validation_split,
@@ -95,6 +98,29 @@ class TestTrainModel:
         small = predict_windows(model, test, chunk=7)
         large = predict_windows(model, test, chunk=512)
         assert np.array_equal(small, large)
+
+    def test_trained_model_gradients_match_its_restored_checkpoint(self, tmp_path):
+        # The benchmark's gradient check clears and recomputes a trained model's gradients.
+        closes = 50.0 + np.cumsum(np.random.default_rng(4).normal(0, 1.0, 120))
+        panels = [linear_panel(), panel_from_closes("WLK", closes.tolist(), score=np.sin(closes))]
+        spec = FeatureSetSpec("HLOVS")
+        train, _, normalizer = build_windows(panels, spec, 15, 3, 1.0)
+        cfg = TrainConfig(epochs=2, seed=5, hidden_size=8, n_heads=2, hidden_continuous_size=4, dropout=0.1)
+        model, _ = train_model("tft_lite", train, cfg, n_companies=2)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, model, cfg, spec, normalizer, n_companies=2)
+        restored = restore_model(load_checkpoint(path))
+        batch = train[:32]
+        grads = []
+        for m in (model, restored):
+            params = m.parameters()
+            zero_grads(params)
+            out = m.forward_batch(batch.past, batch.known, batch.company, training=False)
+            dmse_loss_batch(out, batch.target, batch.anchor, cfg.dmse_alpha).backward()
+            grads.append([p.grad for p in params])
+        assert len(grads[0]) == len(grads[1])
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
 
 
 class TestGridSearch:
