@@ -89,8 +89,13 @@ def load_checkpoint(path: Path | str) -> ModelCheckpoint:
         model_type = doc["model_type"]
         tensors = {}
         for entry in doc["tensors"]:
+            name = entry["name"]
+            if name in tensors:
+                raise CheckpointError(f"tensor {name!r} appears twice")
             data = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            tensors[entry["name"]] = data
+            if not np.isfinite(data).all():  # json reads NaN and Infinity
+                raise CheckpointError(f"tensor {name!r} holds a non-finite value")
+            tensors[name] = data
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from exc
     return ModelCheckpoint(

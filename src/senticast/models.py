@@ -9,13 +9,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
 from .nn.autograd import Parameter, Tensor, concat
-from .nn.blocks import (
-    GatedResidualNetwork,
-    LstmEncoder,
-    MultiHeadAttention,
-    VariableSelection,
-    causal_mask,
-)
+from .nn.blocks import GatedResidualNetwork, LstmEncoder, MultiHeadAttention, VariableSelection
 from .nn.layers import Linear, Module
 from .windows import KNOWN_DIM
 
@@ -153,7 +147,10 @@ class TftLite(Module):
     LSTM encoder and causal multi-head self-attention summarize the window;
     the final attended position passes through a gated feed-forward block
     and, joined with the known future calendar covariates, an affine head
-    produces all horizon steps at once.
+    produces all horizon steps at once.  Nothing else reads the attention,
+    so it runs for the final position only, which under the causal mask
+    attends to every step.  `var_proj` holds the per-input Linear(1, hcs)
+    maps; the selector applies all of them in one op.
     """
 
     kind = "tft_lite"
@@ -223,10 +220,7 @@ class TftLite(Module):
         context = static.repeat_rows(steps)  # (batch*steps, hidden), sample-major
 
         flat_past = Tensor(past.reshape(batch * steps, n_features))
-        variables = [
-            self.var_proj[i](flat_past[:, i : i + 1]) for i in range(n_features)
-        ]
-        combined, _ = self.selector(variables, context, training=training, rng=rng)
+        combined, _ = self.selector(flat_past, self.var_proj, context, training=training, rng=rng)
 
         sequence = combined.reshape(batch, steps, cfg.hidden_size)
         encoded = self.encoder(sequence)
@@ -235,8 +229,10 @@ class TftLite(Module):
             encoded.reshape(batch * steps, cfg.hidden_size), context, training=training, rng=rng
         ).reshape(batch, steps, cfg.hidden_size)
 
-        attended = self.attention(enriched, enriched, enriched, mask=causal_mask(steps))
-        final = attended[:, steps - 1, :]
+        # Only the last position reaches the head, and under the causal mask
+        # it sees every position: its mask row is all zeros.
+        last = enriched[:, steps - 1 : steps, :]
+        final = self.attention(last, enriched, enriched).reshape(batch, cfg.hidden_size)
         final = self.position_ff(final, training=training, rng=rng)
 
         head_input = concat(

@@ -1,12 +1,5 @@
 from .autograd import Parameter, Tensor, concat, no_grad, zero_grads
-from .blocks import (
-    GatedResidualNetwork,
-    LstmCell,
-    LstmEncoder,
-    MultiHeadAttention,
-    VariableSelection,
-    causal_mask,
-)
+from .blocks import GatedResidualNetwork, LstmCell, LstmEncoder, MultiHeadAttention, VariableSelection
 from .layers import LayerNorm, Linear, Module, RMSNorm, SwigluFF, dropout_mask
 from .optim import ParamArena, adam_step
 
@@ -25,7 +18,6 @@ __all__ = [
     "Tensor",
     "VariableSelection",
     "adam_step",
-    "causal_mask",
     "concat",
     "dropout_mask",
     "no_grad",

@@ -12,12 +12,18 @@ a second call on the same graph raises instead of adding the gradients
 again.  A Parameter owns its gradient array (while training, a view into
 the gradient vector of `optim.ParamArena`), so its gradients are added
 into that array in place.  Any other tensor takes its first incoming
-array as is and rebinds to a fresh sum after that, so an array that an
-op handed on is never written.  The op set is the minimum the
-forecasting blocks need; three ops fuse a block into one node with a
+array as is and rebinds to a fresh sum at its second; later gradients
+add into that sum in place, so an array that an op handed on is never
+written.  A slice's gradient is added into its input's array at the
+slice, without a full-size array of zeros.  The op set is the minimum the
+forecasting blocks need; six ops fuse a block into one node with a
 numpy backward: `affine` (x @ W + b), `gated_residual` (a gated residual
-network after its transform) and `lstm_sequence` (one LSTM layer over
-a whole sequence).
+network after its transform), `lstm_sequence` (one LSTM layer over a
+whole sequence), `attention` (multi-head scaled dot-product attention
+from the projected inputs to the merged heads), `scalar_embed` (every
+scalar input times its own weight row plus bias) and `mixture` (the
+variable-selection weighted sum, which under no_grad adds each term as
+soon as it is made).
 """
 
 from __future__ import annotations
@@ -88,9 +94,10 @@ class Tensor:
                 if id(child) not in visited:
                     stack.append((child, False))
         self.grad = np.ones_like(self.data)
+        owned: set[int] = set()  # ids of non-parameters whose gradient array no op was handed
         for node in reversed(topo):
             for parent, vjp in zip(node._prev, node._vjps):
-                _accumulate(parent, vjp(node.grad))
+                _accumulate(parent, vjp(node.grad), owned)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -157,15 +164,7 @@ class Tensor:
         return _result(np.transpose(self.data, axes), (self, lambda grad: np.transpose(grad, inverse)))
 
     def __getitem__(self, index):
-        def vjp(grad):
-            buf = np.zeros_like(self.data)
-            if _is_basic(index):  # selects each element at most once
-                buf[index] = grad
-            else:  # a fancy index can repeat a row, so its copies add up
-                np.add.at(buf, index, grad)
-            return buf
-
-        return _result(self.data[index], (self, vjp))
+        return _result(self.data[index], (self, lambda grad: _Slice(index, grad)))
 
     def repeat_rows(self, count: int):
         """Repeat each leading-axis row `count` times (backward sums the copies)."""
@@ -369,6 +368,120 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor
     )
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None, n_heads: int,
+              return_weights: bool = False):
+    """softmax(q kᵀ / sqrt(head_dim) + mask) v per head, heads merged, as one op.
+
+    q is (batch, len_q, hidden) and k, v are (batch, len_k, hidden); the
+    trailing axis splits into n_heads heads.  The optional additive mask
+    broadcasts to (len_q, len_k).  The forward evaluates the expressions of
+    the reshape, permute, matmul, scale, mask and softmax composition in its
+    order, in place; the backward keeps only the softmax weights and the
+    inputs.  With return_weights, also returns the (batch, n_heads, len_q,
+    len_k) weights as a plain array.
+    """
+    batch, len_q, hidden = q.shape
+    len_k = k.shape[1]
+    if hidden % n_heads or k.shape != (batch, len_k, hidden) or v.shape != k.shape:
+        raise ShapeError(f"attention dims: q {q.shape}, k {k.shape}, v {v.shape}, {n_heads} heads")
+    head_dim = hidden // n_heads
+    scale = 1.0 / np.sqrt(head_dim)
+
+    def heads(x: np.ndarray) -> np.ndarray:
+        return np.transpose(x.reshape(batch, x.shape[1], n_heads, head_dim), (0, 2, 1, 3))
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return np.transpose(x, (0, 2, 1, 3)).reshape(batch, x.shape[2], hidden)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    weights = qh @ np.transpose(kh, (0, 1, 3, 2))
+    weights *= scale
+    if mask is not None:
+        weights += mask
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = merge(weights @ vh)
+    cached: list[np.ndarray] = []
+
+    def scores_grad(grad: np.ndarray) -> np.ndarray:
+        """Gradient of the unscaled scores q kᵀ, (batch, heads, len_q, len_k)."""
+        if not cached or cached[0] is not grad:
+            dw = heads(grad) @ np.transpose(vh, (0, 1, 3, 2))
+            ds = (dw - (dw * weights).sum(axis=-1, keepdims=True)) * weights
+            ds *= scale
+            cached[:] = [grad, ds]
+        return cached[1]
+
+    result = _result(
+        out,
+        (q, lambda grad: merge(scores_grad(grad) @ kh)),
+        (k, lambda grad: merge(np.transpose(scores_grad(grad), (0, 1, 3, 2)) @ qh)),
+        (v, lambda grad: merge(np.transpose(weights, (0, 1, 3, 2)) @ heads(grad))),
+    )
+    return (result, weights) if return_weights else result
+
+
+def scalar_embed(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """(rows, n) scalars -> (rows, n, d): column i times weights[i] (1, d) plus biases[i] (d,), as one op.
+
+    x[:, :, None] * w + b gives the bits of each column's (rows, 1) @ (1, d)
+    matmul plus bias; its output reshapes to the (rows, n * d) concatenation
+    of those n projections without a copy.
+    """
+    n = x.shape[-1]
+    if x.data.ndim != 2 or len(weights) != n or len(biases) != n:
+        raise ShapeError(f"scalar embedding of {x.shape} needs one weight and bias per column")
+    w = np.concatenate([p.data for p in weights])
+    out = x.data[:, :, None] * w
+    out += np.stack([p.data for p in biases])
+
+    def weight_grad(grad: np.ndarray, i: int) -> np.ndarray:
+        return x.data[:, i : i + 1].T @ grad[:, i, :]
+
+    return _result(
+        out,
+        (x, lambda grad: (grad * w).sum(axis=-1)),
+        *((p, lambda grad, i=i: weight_grad(grad, i)) for i, p in enumerate(weights)),
+        *((p, lambda grad, i=i: grad[:, i, :].sum(axis=0)) for i, p in enumerate(biases)),
+    )
+
+
+def mixture(weights: Tensor, terms: Iterable[Tensor]) -> Tensor:
+    """Σ_i weights[..., i:i+1] * terms_i, added in order, as one op.
+
+    Gives the bits of the slice, multiply and add chain.  The terms are
+    drawn from the iterable one at a time; with recording off, each is
+    dropped as soon as it is added, so a generator of terms never has more
+    than one alive.
+    """
+    w = weights.data
+    out = None
+    kept: list[Tensor] = []
+    count = 0
+    for term in terms:
+        if count == w.shape[-1]:
+            raise ShapeError(f"mixture has {w.shape[-1]} weights but more terms")
+        part = w[..., count : count + 1] * term.data
+        if out is None:
+            out = part
+        else:
+            out += part
+        if _recording:
+            kept.append(term)
+        count += 1
+        del term, part  # the next term is made with this one gone
+    if count != w.shape[-1]:
+        raise ShapeError(f"mixture has {w.shape[-1]} weights but {count} terms")
+
+    def weights_grad(grad: np.ndarray) -> np.ndarray:
+        return np.concatenate([(grad * term.data).sum(axis=-1, keepdims=True) for term in kept], axis=-1)
+
+    return _result(
+        out, (weights, weights_grad), *((term, lambda grad, i=i: grad * w[..., i : i + 1]) for i, term in enumerate(kept))
+    )
+
+
 def zero_grads(params: Iterable[Tensor]) -> None:
     """Drop each gradient.  A packed parameter then leaves its arena, whose next adam_step raises."""
     for p in params:
@@ -407,18 +520,41 @@ def _result(data: np.ndarray, *edges: tuple[Tensor | None, Callable[[np.ndarray]
     return out
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
+class _Slice:
+    """The gradient of `tensor[index]`: zero outside the index, `values` inside."""
+
+    __slots__ = ("index", "values")
+
+    def __init__(self, index, values: np.ndarray):
+        self.index = index
+        self.values = values
+
+
+def _accumulate(tensor: Tensor, grad: np.ndarray | _Slice, owned: set[int]) -> None:
     # A parameter's gradient is its own array (an arena view, or a copy made
     # on first touch), so adding in place is safe.  Any other tensor shares
     # the incoming array on first touch, which another node may also hold,
-    # so it rebinds instead.
+    # so it rebinds at its second; that sum is its own (`owned`), and later
+    # gradients add into it in place.  All of them arrive before the tensor's
+    # own vjps hand its gradient on.
+    mine = isinstance(tensor, Parameter) or id(tensor) in owned
+    if isinstance(grad, _Slice):
+        if tensor.grad is None or not mine:
+            tensor.grad = np.zeros_like(tensor.data) if tensor.grad is None else tensor.grad.copy()
+            owned.add(id(tensor))
+        if _is_basic(grad.index):  # selects each element at most once
+            tensor.grad[grad.index] += grad.values
+        else:  # a fancy index can repeat a row, so its copies add up
+            np.add.at(tensor.grad, grad.index, grad.values)
+        return
     grad = _unbroadcast(grad, tensor.data.shape)
     if tensor.grad is None:
         tensor.grad = grad.copy() if isinstance(tensor, Parameter) else grad
-    elif isinstance(tensor, Parameter):
+    elif mine:
         tensor.grad += grad
     else:
         tensor.grad = tensor.grad + grad
+        owned.add(id(tensor))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

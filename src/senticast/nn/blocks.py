@@ -6,13 +6,13 @@ All blocks operate on batched rows: a leading axis of independent samples
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .autograd import Tensor, concat, gated_residual, lstm_sequence
+from .autograd import Tensor, attention, gated_residual, lstm_sequence, mixture, scalar_embed
 from .layers import Linear, Module, SwigluFF, dropout_mask, make_norm
-
-MASKED_SCORE = -1e30
 
 
 class GatedResidualNetwork(Module):
@@ -107,20 +107,11 @@ class LstmEncoder(Module):
         return seq
 
 
-def causal_mask(steps: int) -> np.ndarray:
-    """Additive mask: 0 at or before the query position, large negative after."""
-    mask = np.zeros((steps, steps))
-    mask[np.triu_indices(steps, k=1)] = MASKED_SCORE
-    return mask
-
-
 class MultiHeadAttention(Module):
     def __init__(self, hidden: int, n_heads: int, name: str, rng: np.random.Generator):
         if hidden % n_heads != 0:
             raise ConfigError(f"hidden size {hidden} not divisible by {n_heads} heads")
-        self.hidden = hidden
         self.n_heads = n_heads
-        self.head_dim = hidden // n_heads
         self.proj_q = Linear(hidden, hidden, f"{name}.q", rng)
         # No key bias: a shared key offset shifts all scores of a query
         # equally and cancels in the softmax.
@@ -136,31 +127,23 @@ class MultiHeadAttention(Module):
         mask: np.ndarray | None = None,
         return_weights: bool = False,
     ):
-        batch, len_q = queries.shape[0], queries.shape[1]
-        len_k = keys.shape[1]
-
-        def heads(x: Tensor, length: int) -> Tensor:
-            return x.reshape(batch, length, self.n_heads, self.head_dim).permute(0, 2, 1, 3)
-
-        q = heads(self.proj_q(queries), len_q)
-        k = heads(self.proj_k(keys), len_k)
-        v = heads(self.proj_v(values), len_k)
-        scores = (q @ k.permute(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
-        if mask is not None:
-            scores = scores + Tensor(mask)
-        weights = scores.softmax(axis=-1)
-        attended = (weights @ v).permute(0, 2, 1, 3).reshape(batch, len_q, self.hidden)
-        out = self.proj_out(attended)
-        if return_weights:
-            return out, weights
-        return out
+        """Attend from each query position; with return_weights also the (batch, heads, len_q, len_k) array."""
+        q, k, v = self.proj_q(queries), self.proj_k(keys), self.proj_v(values)
+        if not return_weights:
+            return self.proj_out(attention(q, k, v, mask, self.n_heads))
+        attended, weights = attention(q, k, v, mask, self.n_heads, return_weights=True)
+        return self.proj_out(attended), weights
 
 
 class VariableSelection(Module):
-    """Softmax-weighted mixture of per-variable GRN transforms.
+    """Softmax-weighted mixture of per-variable GRN transforms of scalar inputs.
 
-    Selection weights come from a GRN over the concatenated variable
-    embeddings, optionally conditioned on a static context.
+    Each of the n_vars scalar inputs is embedded by its own Linear(1, d_var)
+    map, all in one op; the selection weights come from a GRN over the
+    concatenated embeddings, optionally conditioned on a static context
+    (TFT's variable selection, Lim et al. 2021, section 4.2).  The mixture
+    is one op that, under no_grad, adds each variable's GRN output as soon
+    as it is made.
     """
 
     def __init__(
@@ -197,18 +180,21 @@ class VariableSelection(Module):
 
     def __call__(
         self,
-        variables: list[Tensor],
+        x: Tensor,
+        projections: Sequence[Linear],
         context: Tensor | None = None,
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, Tensor]:
-        if len(variables) != self.n_vars:
-            raise ShapeError(f"expected {self.n_vars} variables, got {len(variables)}")
-        flat = variables[0] if self.n_vars == 1 else concat(variables, axis=-1)
-        logits = self.flat_grn(flat, context, training=training, rng=rng)
+        """x: (rows, n_vars) scalars; projections[i], a Linear(1, d_var), embeds column i.
+
+        Returns the (rows, hidden) mixture and the (rows, n_vars) weights.
+        """
+        if x.shape[-1] != self.n_vars or len(projections) != self.n_vars:
+            raise ShapeError(f"expected {self.n_vars} variables, got {x.shape[-1]} and {len(projections)} maps")
+        embedded = scalar_embed(x, [p.weight for p in projections], [p.bias for p in projections])
+        rows, _, d_var = embedded.shape
+        logits = self.flat_grn(embedded.reshape(rows, self.n_vars * d_var), context, training=training, rng=rng)
         weights = logits.softmax(axis=-1)
-        combined = None
-        for i, var in enumerate(variables):
-            term = weights[..., i : i + 1] * self.var_grns[i](var, training=training, rng=rng)
-            combined = term if combined is None else combined + term
-        return combined, weights
+        terms = (grn(embedded[:, i, :], training=training, rng=rng) for i, grn in enumerate(self.var_grns))
+        return mixture(weights, terms), weights

@@ -281,3 +281,48 @@ def grn_composed(grn, x, context=None, training=False, rng=None):
     if grn.norm.shift is None:
         return rmsnorm(residual + g, grn.norm.gain)
     return layernorm(residual + g, grn.norm.gain, grn.norm.shift)
+
+
+def causal_mask(steps: int) -> np.ndarray:
+    """Additive attention mask: 0 at or before the query position, large negative after."""
+    mask = np.zeros((steps, steps))
+    mask[np.triu_indices(steps, k=1)] = -1e30
+    return mask
+
+
+def attention_composed(q, k, v, mask, n_heads):
+    """The reshape, permute, matmul, scale, mask and softmax composition that `attention` fuses: the oracle.
+
+    Returns the merged heads and the weights tensor.
+    """
+    batch, len_q, hidden = q.shape
+    len_k = k.shape[1]
+    head_dim = hidden // n_heads
+
+    def heads(x, length):
+        return x.reshape(batch, length, n_heads, head_dim).permute(0, 2, 1, 3)
+
+    qh, kh, vh = heads(q, len_q), heads(k, len_k), heads(v, len_k)
+    scores = (qh @ kh.permute(0, 1, 3, 2)) * (1.0 / np.sqrt(head_dim))
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    weights = scores.softmax(axis=-1)
+    return (weights @ vh).permute(0, 2, 1, 3).reshape(batch, len_q, hidden), weights
+
+
+def vsn_composed(vsn, x, projections, context=None, training=False, rng=None):
+    """Variable selection as one `Linear` per input, a concat and a slice, multiply and add chain: the oracle.
+
+    Draws dropout masks in the block's order (flat GRN, then each variable's
+    GRN), so equal generators give equal masks.
+    """
+    from senticast.nn import concat
+
+    variables = [proj(x[:, i : i + 1]) for i, proj in enumerate(projections)]
+    flat = variables[0] if len(variables) == 1 else concat(variables, axis=-1)
+    weights = vsn.flat_grn(flat, context, training=training, rng=rng).softmax(axis=-1)
+    combined = None
+    for i, var in enumerate(variables):
+        term = weights[..., i : i + 1] * vsn.var_grns[i](var, training=training, rng=rng)
+        combined = term if combined is None else combined + term
+    return combined, weights

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    causal_mask,
     dmse_loss,
     dmse_oracle,
     latent_sentiment_panels,
@@ -37,8 +38,9 @@ from senticast.nn import (
     SwigluFF,
     Tensor,
     VariableSelection,
-    causal_mask,
 )
+from senticast.nn.autograd import attention
+from senticast.nn.layers import Linear
 from senticast.training import predict_windows, train_model
 from senticast.windows import FeatureSetSpec, build_windows
 
@@ -144,15 +146,25 @@ def test_c03_gradient_checks(capsys):
             [ax] + mha.parameters(),
         )
 
+        q, k, v = (Parameter(rng.normal(size=(2, 4, 8)), name) for name in "qkv")
+        qcoeff = Tensor(rng.normal(size=(2, 4, 8)))
+        for mask in (None, causal_mask(4)):
+            run(
+                f"attention_op[{seed}, mask={mask is not None}]",
+                lambda: (attention(q, k, v, mask, 2) * qcoeff).sum(),
+                [q, k, v],
+            )
+
         vsn = VariableSelection(3, 3, 4, "vsn", rng, d_context=4)
-        vars_ = [Parameter(rng.normal(size=(2, 3)), f"v{i}") for i in range(3)]
+        vx = Parameter(rng.normal(size=(2, 3)), "vx")
+        vproj = [Linear(1, 3, f"vproj{i}", rng) for i in range(3)]
         vctx = Parameter(rng.normal(size=(2, 4)), "vctx")
 
         def vsn_loss():
-            combined, _ = vsn(vars_, vctx)
+            combined, _ = vsn(vx, vproj, vctx)
             return (combined * combined).sum()
 
-        run(f"vsn[{seed}]", vsn_loss, vars_ + [vctx] + vsn.parameters())
+        run(f"vsn[{seed}]", vsn_loss, [vx, vctx] + [p for proj in vproj for p in proj.parameters()] + vsn.parameters())
 
         nlin = NLinear(6, 2, close_col=0, rng=rng, const_init=False)
         nx = Parameter(rng.normal(size=(2, 6)), "nx")

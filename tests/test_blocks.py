@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
-from conftest import adam_reference, grn_composed, layernorm, lstm_unrolled, rmsnorm
+from conftest import (
+    adam_reference,
+    attention_composed,
+    causal_mask,
+    grn_composed,
+    layernorm,
+    lstm_unrolled,
+    rmsnorm,
+    vsn_composed,
+)
 from gradcheck import gradcheck
 from senticast.errors import ConfigError, ShapeError, TrainingError
 from senticast.nn import (
@@ -17,11 +28,10 @@ from senticast.nn import (
     Tensor,
     VariableSelection,
     adam_step,
-    causal_mask,
     dropout_mask,
     zero_grads,
 )
-from senticast.nn.autograd import gated_residual
+from senticast.nn.autograd import attention, gated_residual, mixture, no_grad, scalar_embed
 from senticast.nn.layers import LayerNorm, Linear
 
 
@@ -424,7 +434,7 @@ class TestAttention:
         keys = Tensor(np.tile(rng.normal(size=(1, 1, 8)), (1, 4, 1)))
         values = Tensor(rng.normal(size=(1, 4, 8)))
         out, weights = mha(queries, keys, values, return_weights=True)
-        assert np.allclose(weights.data, 0.25, atol=1e-12)
+        assert np.allclose(weights, 0.25, atol=1e-12)
         # every output row is the out-projected mean of the projected values
         mean_v = mha.proj_v(values).data.mean(axis=1, keepdims=True)
         expected = mha.proj_out(Tensor(np.tile(mean_v, (1, 4, 1)))).data
@@ -435,7 +445,7 @@ class TestAttention:
         mha = MultiHeadAttention(8, 4, "attn", rng)
         x = Tensor(rng.normal(size=(2, 5, 8)))
         _, weights = mha(x, x, x, mask=causal_mask(5), return_weights=True)
-        first_row = weights.data[:, :, 0, :]
+        first_row = weights[:, :, 0, :]
         assert np.allclose(first_row[..., 0], 1.0, atol=1e-12)
         assert np.allclose(first_row[..., 1:], 0.0, atol=1e-12)
 
@@ -444,7 +454,7 @@ class TestAttention:
         mha = MultiHeadAttention(6, 3, "attn", rng)
         x = Tensor(rng.normal(size=(3, 7, 6)))
         _, weights = mha(x, x, x, mask=causal_mask(7), return_weights=True)
-        assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_head_divisibility_enforced(self):
         with pytest.raises(ConfigError):
@@ -460,30 +470,80 @@ class TestAttention:
             )
             assert report.passed, (seed, report.summary())
 
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_op_gradcheck(self, masked):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            q = Parameter(rng.normal(size=(2, 3, 8)), "q")
+            k = Parameter(rng.normal(size=(2, 4, 8)), "k")
+            v = Parameter(rng.normal(size=(2, 4, 8)), "v")
+            mask = np.triu(np.full((3, 4), -1e30), k=2) if masked else None
+            coeff = Tensor(rng.normal(size=(2, 3, 8)))
+            report = gradcheck(lambda: (attention(q, k, v, mask, 2) * coeff).sum(), [q, k, v])
+            assert report.passed, (seed, masked, report.summary())
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_op_matches_composition(self, masked):
+        rng = np.random.default_rng(21)
+        q, k, v = (Parameter(rng.normal(size=(3, 6, 12)), name) for name in "qkv")
+        mask = causal_mask(6) if masked else None
+        coeff = Tensor(rng.normal(size=(3, 6, 12)))
+        fused, weights = attention(q, k, v, mask, 3, return_weights=True)
+        composed, composed_weights = attention_composed(q, k, v, mask, 3)
+        assert np.array_equal(fused.data, composed.data)
+        assert np.array_equal(weights, composed_weights.data)
+        grads = []
+        for out in (fused, composed):
+            zero_grads([q, k, v])
+            (out * coeff).sum().backward()
+            grads.append([p.grad for p in (q, k, v)])
+        for name, a, b in zip("qkv", *grads):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+    def test_op_keeps_no_graph_under_no_grad(self):
+        rng = np.random.default_rng(22)
+        q = Parameter(rng.normal(size=(1, 2, 4)), "q")
+        with no_grad():
+            out = attention(q, q, q, None, 2)
+        assert not out.requires_grad and out._prev == ()
+
+    def test_op_rejects_mismatched_shapes(self):
+        x = Tensor(np.zeros((2, 3, 8)))
+        with pytest.raises(ShapeError):
+            attention(x, Tensor(np.zeros((2, 3, 6))), x, None, 2)
+        with pytest.raises(ShapeError):
+            attention(x, x, x, None, 3)
+
+
+def vsn_inputs(rng, n_vars, d_var, rows, name="x"):
+    """Scalar inputs and their per-variable Linear(1, d_var) embeddings."""
+    x = Parameter(rng.normal(size=(rows, n_vars)), name)
+    return x, [Linear(1, d_var, f"proj{i}", rng) for i in range(n_vars)]
+
 
 class TestVariableSelection:
     def test_single_variable_gets_unit_weight(self):
         rng = np.random.default_rng(17)
         vsn = VariableSelection(1, 4, 6, "vsn", rng)
-        var = Tensor(rng.normal(size=(3, 4)))
-        combined, weights = vsn([var])
+        x, projections = vsn_inputs(rng, 1, 4, 3)
+        combined, weights = vsn(x, projections)
         assert np.allclose(weights.data, 1.0, atol=1e-12)
-        expected = vsn.var_grns[0](var)
+        expected = vsn.var_grns[0](projections[0](x))
         assert np.allclose(combined.data, expected.data, atol=1e-12)
 
     def test_zero_logits_give_uniform_weights(self):
         rng = np.random.default_rng(18)
         vsn = VariableSelection(4, 3, 6, "vsn", rng)
         zero_params(vsn.flat_grn)
-        variables = [Tensor(rng.normal(size=(2, 3))) for _ in range(4)]
-        _, weights = vsn(variables)
+        x, projections = vsn_inputs(rng, 4, 3, 2)
+        _, weights = vsn(x, projections)
         assert np.allclose(weights.data, 0.25, atol=1e-12)
 
     def test_weights_form_a_simplex(self):
         rng = np.random.default_rng(19)
         vsn = VariableSelection(5, 3, 6, "vsn", rng)
-        variables = [Tensor(rng.normal(size=(4, 3))) for _ in range(5)]
-        _, weights = vsn(variables)
+        x, projections = vsn_inputs(rng, 5, 3, 4)
+        _, weights = vsn(x, projections)
         assert np.all(weights.data >= 0.0)
         assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -491,19 +551,113 @@ class TestVariableSelection:
         with pytest.raises(ConfigError):
             VariableSelection(0, 3, 6, "vsn", np.random.default_rng(0))
 
+    def test_variable_count_checked(self):
+        rng = np.random.default_rng(20)
+        vsn = VariableSelection(3, 3, 6, "vsn", rng)
+        x, projections = vsn_inputs(rng, 3, 3, 2)
+        with pytest.raises(ShapeError):
+            vsn(x, projections[:2])
+        with pytest.raises(ShapeError):
+            vsn(Tensor(x.data[:, :2]), projections)
+
     def test_gradcheck(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
             vsn = VariableSelection(3, 3, 4, "vsn", rng, d_context=4)
-            variables = [Parameter(rng.normal(size=(2, 3)), f"v{i}") for i in range(3)]
+            x, projections = vsn_inputs(rng, 3, 3, 2)
             ctx = Parameter(rng.normal(size=(2, 4)), "ctx")
 
             def f():
-                combined, _ = vsn(variables, ctx)
+                combined, _ = vsn(x, projections, ctx)
                 return (combined * combined).sum()
 
-            report = gradcheck(f, variables + [ctx] + vsn.parameters())
+            params = [x, ctx] + [p for proj in projections for p in proj.parameters()] + vsn.parameters()
+            report = gradcheck(f, params)
             assert report.passed, (seed, report.summary())
+
+    @pytest.mark.parametrize("n_vars", [1, 5])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_matches_composition(self, n_vars, training):
+        rng = np.random.default_rng(23)
+        vsn = VariableSelection(n_vars, 4, 8, "vsn", rng, d_context=8, dropout_rate=0.3, norm_type="layernorm")
+        x, projections = vsn_inputs(rng, n_vars, 4, 30)
+        ctx = Parameter(rng.normal(size=(30, 8)), "ctx")
+        coeff = Tensor(rng.normal(size=(30, 8)))
+        params = [x, ctx] + [p for proj in projections for p in proj.parameters()] + vsn.parameters()
+        outputs, grads = [], []
+        for forward in (vsn, lambda *a, **k: vsn_composed(vsn, *a, **k)):
+            combined, weights = forward(x, projections, ctx, training=training, rng=np.random.default_rng(5))
+            outputs.append((combined.data, weights.data))
+            zero_grads(params)
+            (combined * coeff).sum().backward()
+            grads.append([p.grad for p in params])
+        assert np.array_equal(outputs[0][0], outputs[1][0])  # bit-for-bit
+        assert np.array_equal(outputs[0][1], outputs[1][1])
+        for p, fused, composed in zip(params, *grads):
+            assert np.max(np.abs(fused - composed)) <= 1e-12 * np.max(np.abs(composed)), p.name
+
+    def test_no_grad_forward_matches(self):
+        rng = np.random.default_rng(24)
+        vsn = VariableSelection(6, 4, 8, "vsn", rng)
+        x, projections = vsn_inputs(rng, 6, 4, 10)
+        combined, weights = vsn(x, projections)
+        with no_grad():
+            quiet, quiet_weights = vsn(x, projections)
+        assert not quiet.requires_grad
+        assert np.array_equal(quiet.data, combined.data)
+        assert np.array_equal(quiet_weights.data, weights.data)
+
+
+class TestScalarEmbedAndMixture:
+    def test_embed_matches_per_column_linear_bits(self):
+        rng = np.random.default_rng(25)
+        x, projections = vsn_inputs(rng, 7, 5, 40)
+        embedded = scalar_embed(x, [p.weight for p in projections], [p.bias for p in projections])
+        for i, proj in enumerate(projections):
+            assert np.array_equal(embedded.data[:, i, :], proj(x[:, i : i + 1]).data)
+
+    def test_embed_gradcheck(self):
+        rng = np.random.default_rng(26)
+        x, projections = vsn_inputs(rng, 3, 4, 5)
+        coeff = Tensor(rng.normal(size=(5, 3, 4)))
+        params = [x] + [p for proj in projections for p in proj.parameters()]
+        report = gradcheck(
+            lambda: (scalar_embed(x, [p.weight for p in projections], [p.bias for p in projections]) * coeff).sum(),
+            params,
+        )
+        assert report.passed, report.summary()
+
+    def test_mixture_gradcheck(self):
+        rng = np.random.default_rng(27)
+        weights = Parameter(rng.normal(size=(4, 3)), "w")
+        terms = [Parameter(rng.normal(size=(4, 5)), f"t{i}") for i in range(3)]
+        coeff = Tensor(rng.normal(size=(4, 5)))
+        report = gradcheck(lambda: (mixture(weights, terms) * coeff).sum(), [weights] + terms)
+        assert report.passed, report.summary()
+
+    def test_mixture_counts_terms(self):
+        weights = Tensor(np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            mixture(weights, [Tensor(np.ones((2, 4)))] * 2)
+        with pytest.raises(ShapeError):
+            mixture(weights, [Tensor(np.ones((2, 4)))] * 4)
+
+    def test_mixture_under_no_grad_holds_one_term(self):
+        refs, alive = [], []
+
+        class Probe(Tensor):
+            __slots__ = ("__weakref__",)
+
+        def make(i):
+            alive.append(sum(ref() is not None for ref in refs))
+            term = Probe(np.full((2, 3), float(i)))
+            refs.append(weakref.ref(term))
+            return term
+
+        with no_grad():
+            out = mixture(Tensor(np.ones((2, 4))), (make(i) for i in range(4)))
+        assert np.array_equal(out.data, np.full((2, 3), 6.0))
+        assert alive == [0, 0, 0, 0]
 
 
 class TestAdam:

@@ -137,6 +137,29 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="structure"):
             restore_model(load_checkpoint(path))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_value_rejected_naming_tensor(self, tmp_path, token):
+        model, cfg, spec, normalizer = make_parts()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model, cfg, spec, normalizer, n_companies=2)
+        doc = json.loads(path.read_text())
+        name = doc["tensors"][3]["name"]
+        doc["tensors"][3]["values"][0] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', token))
+        with pytest.raises(CheckpointError, match=re.escape(repr(name)) + ".*non-finite"):
+            load_checkpoint(path)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        model, cfg, spec, normalizer = make_parts()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, model, cfg, spec, normalizer, n_companies=2)
+        doc = json.loads(path.read_text())
+        name = doc["tensors"][2]["name"]
+        doc["tensors"].append(doc["tensors"][2])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=re.escape(repr(name)) + ".*twice"):
+            load_checkpoint(path)
+
     def test_non_checkpoint_json_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"hello": "world"}')

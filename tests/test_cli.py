@@ -45,6 +45,17 @@ class TestPrerequisites:
         assert run("predict", out) == EXIT_MISSING
         assert "checkpoint" in caplog.text
 
+    def test_predict_with_non_finite_checkpoint_exits_3_naming_tensor(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        for command in ("preprocess", "features", "train"):
+            assert run(command, out) == EXIT_OK, command
+        path = out / "train" / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["tensors"][0]["values"][0] = float("nan")
+        path.write_text(json.dumps(doc))  # json.dumps writes NaN
+        assert run("predict", out) == EXIT_VALIDATION
+        assert repr(doc["tensors"][0]["name"]) in caplog.text
+
     def test_features_before_preprocess_exits_2(self, tmp_path):
         assert run("features", tmp_path / "out") == EXIT_MISSING
 

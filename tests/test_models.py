@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import INVALID_TRAIN_CASES, INVALID_TRAIN_IDS
+from conftest import INVALID_TRAIN_CASES, INVALID_TRAIN_IDS, causal_mask
 from senticast.errors import ConfigError, ShapeError, ValidationError
 from senticast.models import NLinear, TftLite, TrainConfig, naive_seasonal_forecast
-from senticast.nn import Tensor
+from senticast.nn import Tensor, no_grad
 
 
 class TestTrainConfig:
@@ -191,3 +193,54 @@ class TestTftLite:
         known = np.zeros((2, 2, 6))
         out = model.forward_batch(past, known, np.zeros(2, dtype=int))
         assert np.isfinite(out.data).all()
+
+
+class FullCausalAttention:
+    """Attends from every position under the causal mask and keeps the last row: the full-sequence oracle."""
+
+    def __init__(self, mha):
+        self.mha = mha
+
+    def __call__(self, queries, keys, values):
+        steps = keys.shape[1]
+        return self.mha(keys, keys, values, mask=causal_mask(steps))[:, steps - 1 : steps, :]
+
+
+FEATURE_COUNTS = {"HLOV": 5, "HLOVS": 6, "HLOVE": 21}
+
+
+class TestTftLiteAttention:
+    @pytest.mark.parametrize("kind", FEATURE_COUNTS)
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"lstm_layers": 2}, {"norm_type": "layernorm"}], ids=["defaults", "lstm2", "layernorm"]
+    )
+    def test_last_query_matches_full_causal_forward(self, kind, overrides):
+        cfg = TrainConfig(**overrides)
+        rng = np.random.default_rng(31)
+        model = TftLite(cfg, n_features=FEATURE_COUNTS[kind], n_companies=3, rng=rng)
+        past = rng.normal(size=(8, cfg.lookback, FEATURE_COUNTS[kind]))
+        known = rng.normal(size=(8, cfg.horizon, 6))
+        company = np.arange(8) % 3
+        last = model.forward_batch(past, known, company).data
+        model.attention = FullCausalAttention(model.attention)
+        full = model.forward_batch(past, known, company).data
+        assert np.max(np.abs(last - full)) <= 1e-12 * np.max(np.abs(full))
+
+    def test_no_grad_forward_peak_memory(self):
+        # One forecast chunk: 512 HLOVE windows (7,680 rows) under no_grad,
+        # at the benchmark's model size.  27 MiB of traced allocations.
+        cfg = TrainConfig(hidden_size=16, n_heads=4, hidden_continuous_size=8, dropout=0.0)
+        rng = np.random.default_rng(0)
+        model = TftLite(cfg, n_features=21, n_companies=8, rng=rng)
+        past = rng.normal(size=(512, 15, 21))
+        known = np.zeros((512, 3, 6))
+        company = np.arange(512) % 8
+        with no_grad():
+            model.forward_batch(past, known, company)  # first-call allocations stay out of the figure
+            tracemalloc.start()
+            try:
+                model.forward_batch(past, known, company)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 27 * 2**20, f"{peak / 2**20:.2f} MiB"

@@ -10,8 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import dmse_oracle, spearman_oracle
+from senticast.analysis import spearman
 from senticast.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from senticast.losses import dmse_loss_batch
 from senticast.market import BusinessCalendar, OhlcvBar, PriceSeries, smooth
+from senticast.metrics import METRIC_NAMES, MetricsRecord, composite_rank
 from senticast.models import TrainConfig
 from senticast.text import (
     AlignedPanel,
@@ -24,11 +28,12 @@ from senticast.text import (
     read_panel_csv,
     write_panel_csv,
 )
+from senticast.nn import Tensor
 from senticast.training import build_model
 from senticast.windows import FeatureSetSpec, Normalizer
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -230,3 +235,67 @@ def test_filter_corpus_partitions_the_input(tweets):
     order = [(t.post_date, position[id(t)]) for t in kept]
     assert order == sorted(order)
     assert (kept, stats) == filter_two_pass(tweets, TICKERS)
+
+
+# Half-integers in a narrow range: ties, flat moves and repeated values are common.
+tied_values = st.integers(-4, 4).map(lambda v: v * 0.5)
+
+
+@st.composite
+def dmse_batches(draw):
+    batch, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    grid = st.lists(tied_values, min_size=batch * horizon, max_size=batch * horizon)
+    pred = np.asarray(draw(grid)).reshape(batch, horizon)
+    truth = np.asarray(draw(grid)).reshape(batch, horizon)
+    anchor = np.asarray(draw(st.lists(tied_values, min_size=batch, max_size=batch)))
+    return pred, truth, anchor, draw(st.sampled_from([1.0, 10.0, 1e3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dmse_batches())
+def test_dmse_matches_oracle_with_ties(case):
+    pred, truth, anchor, alpha = case
+    loss = dmse_loss_batch(Tensor(pred), truth, anchor, alpha).item()
+    expected = np.mean([dmse_oracle(p, t, a, alpha) for p, t, a in zip(pred, truth, anchor)])
+    assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 25).flatmap(lambda n: st.tuples(*[st.lists(tied_values, min_size=n, max_size=n)] * 2)))
+def test_spearman_matches_oracle_with_ties(pair):
+    x, y = pair
+    assume(len(set(x)) > 1 and len(set(y)) > 1)
+    assert spearman(x, y) == pytest.approx(spearman_oracle(x, y), abs=1e-12)
+
+
+@st.composite
+def metric_records(draw):
+    records = []
+    for ticker in draw(st.lists(st.sampled_from(["AAA", "BBB", "CCC"]), min_size=1, max_size=3, unique=True)):
+        for m in range(draw(st.integers(2, 5))):
+            values = {name: draw(tied_values) for name in METRIC_NAMES}
+            records.append(MetricsRecord(ticker=ticker, model=f"m{m}", feature_set="HLOV", **values))
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_composite_rank_ignores_record_order(data):
+    records = data.draw(metric_records())
+    shuffled = data.draw(st.permutations(records))
+    before, after = composite_rank(records), composite_rank(shuffled)
+    assert before.keys() == after.keys()
+    for ticker in before:
+        by_model = {entry.record.model: entry for entry in after[ticker]}
+        # A record keeps its ranks; only records tied on (composite, MAPE rank)
+        # may trade positions, since input order breaks those ties.
+        for entry in before[ticker]:
+            moved = by_model[entry.record.model]
+            assert moved.metric_ranks == entry.metric_ranks
+            assert moved.composite == entry.composite
+        keys = [(e.composite, e.metric_ranks["mape"]) for e in before[ticker]]
+        assert keys == [(e.composite, e.metric_ranks["mape"]) for e in after[ticker]]
+        for entry in before[ticker]:
+            key = (entry.composite, entry.metric_ranks["mape"])
+            if keys.count(key) == 1:
+                assert by_model[entry.record.model].position == entry.position
