@@ -4,7 +4,9 @@ The on-disk format is compact JSON.  Floats are written as Python's
 shortest round-trip repr, which reads back to the same double; files
 written with 17 significant digits load to the same doubles too.  Writes
 go through a temp file and rename, so a failed save never leaves a partial
-checkpoint behind.
+checkpoint behind.  The feature set is the one column list: the
+normalizer's statistics must have one column per feature-set column, and
+the model is rebuilt with that many inputs.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from .models import TrainConfig
 from .training import build_model
 from .windows import FeatureSetSpec, Normalizer
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
 class ModelCheckpoint:
-    format_version: int
     model_type: str
     config: TrainConfig
     feature_spec: FeatureSetSpec
@@ -98,8 +99,8 @@ def load_checkpoint(path: Path | str) -> ModelCheckpoint:
             tensors[name] = data
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from exc
+    _check_normalizer(path, normalizer, len(spec.columns))
     return ModelCheckpoint(
-        format_version=version,
         model_type=model_type,
         config=config,
         feature_spec=spec,
@@ -109,16 +110,29 @@ def load_checkpoint(path: Path | str) -> ModelCheckpoint:
     )
 
 
+def _check_normalizer(path: Path, normalizer: Normalizer, n_columns: int) -> None:
+    """Statistics that de-normalize every forecast: one finite row per ticker, positive stds."""
+    shape = (len(normalizer.tickers), n_columns)
+    for name in ("means", "stds"):
+        values = getattr(normalizer, name)
+        if values.shape != shape:
+            raise CheckpointError(
+                f"{path}: normalizer {name} is shaped {values.shape}; tickers and feature set imply {shape}"
+            )
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: normalizer {name} holds a non-finite value")
+    if not (normalizer.stds > 0).all():
+        raise CheckpointError(f"{path}: normalizer stds holds a value <= 0")
+    rows = normalizer.train_rows
+    if len(rows) != shape[0] or any(r < 1 for r in rows):
+        raise CheckpointError(f"{path}: normalizer train_rows {rows} is not one positive count per ticker")
+
+
 def restore_model(checkpoint: ModelCheckpoint):
     """Rebuild the model skeleton from config and load its tensors exactly."""
     rng = np.random.default_rng(0)  # shapes only; values are overwritten
     model = build_model(
-        checkpoint.model_type,
-        checkpoint.config,
-        len(checkpoint.normalizer.columns),
-        checkpoint.n_companies,
-        rng,
-        close_col=checkpoint.normalizer.close_index,
+        checkpoint.model_type, checkpoint.config, len(checkpoint.feature_spec.columns), checkpoint.n_companies, rng
     )
     params = {p.name: p for p in model.parameters()}
     if set(params) != set(checkpoint.tensors):

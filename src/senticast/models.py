@@ -27,7 +27,6 @@ class TrainConfig:
     dropout: float = 0.25
     hidden_continuous_size: int = 32
     norm_type: str = "rmsnorm"
-    optimizer: str = "adam"
     batch_size: int = 32
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -55,8 +54,6 @@ class TrainConfig:
             raise ConfigError("hidden_continuous_size must be >= 1")
         if self.norm_type not in ("rmsnorm", "layernorm"):
             raise ConfigError(f"norm_type must be rmsnorm or layernorm, got {self.norm_type!r}")
-        if self.optimizer != "adam":
-            raise ConfigError(f"only the adam optimizer is implemented, got {self.optimizer!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         # Each check is written so that NaN fails it.
@@ -155,21 +152,13 @@ class TftLite(Module):
 
     kind = "tft_lite"
 
-    def __init__(
-        self,
-        config: TrainConfig,
-        n_features: int,
-        n_companies: int,
-        rng: np.random.Generator,
-        known_dim: int = KNOWN_DIM,
-    ):
+    def __init__(self, config: TrainConfig, n_features: int, n_companies: int, rng: np.random.Generator):
         config.validate()
         if n_features < 1 or n_companies < 1:
             raise ConfigError(f"need >= 1 feature and company, got {n_features}, {n_companies}")
         self.config = config
         self.n_features = n_features
         self.n_companies = n_companies
-        self.known_dim = known_dim
         hidden = config.hidden_size
         hcs = config.hidden_continuous_size
         norm = config.norm_type
@@ -195,7 +184,7 @@ class TftLite(Module):
             hidden, hidden, hidden, "tft.posff", rng,
             dropout_rate=drop, norm_type=norm, ff_variant=config.feed_forward,
         )
-        self.head = Linear(hidden + config.horizon * known_dim, config.horizon, "tft.head", rng)
+        self.head = Linear(hidden + config.horizon * KNOWN_DIM, config.horizon, "tft.head", rng)
         self.head.bias.data[:] = 0.0  # start forecasts at the unbiased origin
 
     def forward_batch(
@@ -212,7 +201,7 @@ class TftLite(Module):
             raise ShapeError(f"expected {self.n_features} features, got {n_features}")
         if steps != cfg.lookback:
             raise ShapeError(f"expected lookback {cfg.lookback}, got {steps}")
-        if known.shape != (batch, cfg.horizon, self.known_dim):
+        if known.shape != (batch, cfg.horizon, KNOWN_DIM):
             raise ShapeError(f"known-future shape {known.shape} does not match config")
 
         company = np.asarray(company, dtype=np.int64)
@@ -235,7 +224,5 @@ class TftLite(Module):
         final = self.attention(last, enriched, enriched).reshape(batch, cfg.hidden_size)
         final = self.position_ff(final, training=training, rng=rng)
 
-        head_input = concat(
-            [final, Tensor(known.reshape(batch, cfg.horizon * self.known_dim))], axis=-1
-        )
+        head_input = concat([final, Tensor(known.reshape(batch, cfg.horizon * KNOWN_DIM))], axis=-1)
         return self.head(head_input)

@@ -265,19 +265,17 @@ def gated_residual(a: Tensor, x: Tensor, gate_w: Tensor, gate_b: Tensor, skip_w:
     out = z * gain.data
     if shift is not None:
         out += shift.data
-    cached: list[np.ndarray] = []
 
+    @_per_grad
     def core(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradients of the gate pre-activations (..., 2d) and of the residual sum (..., d)."""
-        if not cached or cached[0] is not grad:
-            dn = grad * gain.data
-            dz = dn - z * ((dn * z).sum(axis=-1, keepdims=True) * inv_d)
-            if shift is not None:
-                dz -= dn.sum(axis=-1, keepdims=True) * inv_d
-            dz *= scale
-            dg = dz if mask is None else dz * mask
-            cached[:] = [grad, np.concatenate([dg * sig, dg * u * sig * (1.0 - sig)], axis=-1), dz]
-        return cached[1], cached[2]
+        dn = grad * gain.data
+        dz = dn - z * ((dn * z).sum(axis=-1, keepdims=True) * inv_d)
+        if shift is not None:
+            dz -= dn.sum(axis=-1, keepdims=True) * inv_d
+        dz *= scale
+        dg = dz if mask is None else dz * mask
+        return np.concatenate([dg * sig, dg * u * sig * (1.0 - sig)], axis=-1), dz
 
     return _result(
         out,
@@ -324,7 +322,8 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor
         h = gate[:, 3 * hd :] * tanh_c[:, t]
         out[:, t] = h
 
-    def bptt(grad: np.ndarray) -> np.ndarray:
+    @_per_grad
+    def gate_grads(grad: np.ndarray) -> np.ndarray:
         """Gradient of the gate pre-activations, (batch, steps, 4*hidden)."""
         local = gates * (1.0 - gates)
         candidate = gates[..., 2 * hd : 3 * hd]
@@ -347,13 +346,6 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor
             carry = dc * forget[:, t]
             dh_next = dz[:, t] @ wh.T
         return dz
-
-    cached: list[np.ndarray] = []
-
-    def gate_grads(grad: np.ndarray) -> np.ndarray:
-        if not cached or cached[0] is not grad:
-            cached[:] = [grad, bptt(grad)]
-        return cached[1]
 
     def w_h_grad(grad: np.ndarray) -> np.ndarray:
         h_prev = np.concatenate([np.zeros((batch, 1, hd)), out[:, :-1]], axis=1)
@@ -402,16 +394,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None, n_heads:
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     out = merge(weights @ vh)
-    cached: list[np.ndarray] = []
 
+    @_per_grad
     def scores_grad(grad: np.ndarray) -> np.ndarray:
         """Gradient of the unscaled scores q kᵀ, (batch, heads, len_q, len_k)."""
-        if not cached or cached[0] is not grad:
-            dw = heads(grad) @ np.transpose(vh, (0, 1, 3, 2))
-            ds = (dw - (dw * weights).sum(axis=-1, keepdims=True)) * weights
-            ds *= scale
-            cached[:] = [grad, ds]
-        return cached[1]
+        dw = heads(grad) @ np.transpose(vh, (0, 1, 3, 2))
+        ds = (dw - (dw * weights).sum(axis=-1, keepdims=True)) * weights
+        ds *= scale
+        return ds
 
     result = _result(
         out,
@@ -497,6 +487,19 @@ def _is_basic(index) -> bool:
     """True for an int, slice, Ellipsis or None, alone or in a tuple."""
     parts = index if isinstance(index, tuple) else (index,)
     return all(isinstance(part, _BASIC_INDEX) for part in parts)
+
+
+def _per_grad(fn: Callable) -> Callable:
+    """`fn` run once per incoming gradient array (keyed by identity), so an op's edges share one result."""
+    cached: list = []
+
+    def memo(grad: np.ndarray):
+        if not cached or cached[0] is not grad:
+            cached[:] = [grad, fn(grad)]
+        return cached[1]
+
+    return memo
+
 
 def _same(grad: np.ndarray) -> np.ndarray:
     return grad

@@ -29,18 +29,9 @@ def stack_windows(windows: Windows) -> Windows:
     return windows
 
 
-def build_model(
-    kind: str,
-    config: TrainConfig,
-    n_features: int,
-    n_companies: int,
-    rng: np.random.Generator,
-    close_col: int = CLOSE_COLUMN,
-):
+def build_model(kind: str, config: TrainConfig, n_features: int, n_companies: int, rng: np.random.Generator):
     if kind == "nlinear":
-        return NLinear(
-            config.lookback, config.horizon, close_col, rng, const_init=config.nlinear_const_init
-        )
+        return NLinear(config.lookback, config.horizon, CLOSE_COLUMN, rng, const_init=config.nlinear_const_init)
     if kind == "tft_lite":
         return TftLite(config, n_features, n_companies, rng)
     raise ConfigError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")

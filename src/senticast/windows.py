@@ -7,6 +7,7 @@ normalization statistics are fitted on each company's training rows only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -17,6 +18,7 @@ FEATURE_SET_KINDS = ("HLOV", "HLOVS", "HLOVE")
 BASE_COLUMNS = ("high", "low", "open", "volume", "close")
 KNOWN_DIM = 6  # holiday flag + day-of-week one-hot
 CLOSE_COLUMN = BASE_COLUMNS.index("close")
+_base_values = attrgetter(*BASE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class Windows:
     company: np.ndarray  # (n,) int64
     lookback: int
     horizon: int
-    close_index: int
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -90,12 +91,12 @@ class Windows:
     @property
     def target(self) -> np.ndarray:
         """(n, horizon) normalized closes to forecast."""
-        return self.rows[self._ahead, self.close_index]
+        return self.rows[self._ahead, CLOSE_COLUMN]
 
     @property
     def anchor(self) -> np.ndarray:
         """(n,) last observed normalized close."""
-        return self.rows[self.ends, self.close_index]
+        return self.rows[self.ends, CLOSE_COLUMN]
 
     @property
     def target_days(self) -> np.ndarray:
@@ -108,17 +109,13 @@ class Windows:
 
 @dataclass
 class Normalizer:
-    """Per-company column statistics fitted on training rows."""
+    """Per-company statistics of the feature set's columns, fitted on training rows."""
 
     tickers: list[str]
-    columns: list[str]
     means: np.ndarray  # (companies, features)
     stds: np.ndarray  # (companies, features)
     train_rows: list[int]
-
-    @property
-    def close_index(self) -> int:
-        return self.columns.index("close")
+    close_index = CLOSE_COLUMN
 
     def normalize(self, company: int, matrix: np.ndarray) -> np.ndarray:
         return (matrix - self.means[company]) / self.stds[company]
@@ -131,7 +128,6 @@ class Normalizer:
     def to_dict(self) -> dict:
         return {
             "tickers": list(self.tickers),
-            "columns": list(self.columns),
             "means": [[float(v) for v in row] for row in self.means],
             "stds": [[float(v) for v in row] for row in self.stds],
             "train_rows": [int(v) for v in self.train_rows],
@@ -141,7 +137,6 @@ class Normalizer:
     def from_dict(cls, data: dict) -> "Normalizer":
         return cls(
             tickers=list(data["tickers"]),
-            columns=list(data["columns"]),
             means=np.asarray(data["means"], dtype=np.float64),
             stds=np.asarray(data["stds"], dtype=np.float64),
             train_rows=[int(v) for v in data["train_rows"]],
@@ -152,7 +147,7 @@ def panel_matrix(panel: AlignedPanel, spec: FeatureSetSpec) -> np.ndarray:
     """Panel rows as a (T, features) array in the spec's column order."""
     rows = []
     for row in panel.rows:
-        values = [row.high, row.low, row.open, row.volume, row.close]
+        values = list(_base_values(row))
         if spec.kind == "HLOVS":
             values.append(row.score)
         elif spec.kind == "HLOVE":
@@ -210,7 +205,6 @@ def fit_normalizer(
 
     return Normalizer(
         tickers=tickers,
-        columns=spec.columns,
         means=np.asarray(means),
         stds=np.asarray(stds),
         train_rows=train_rows,
@@ -243,7 +237,7 @@ def windows_from_normalizer(
     ends, split_at = np.concatenate(ends), np.concatenate(split_rows)
     windows = Windows(
         np.concatenate(rows), np.concatenate(known), np.asarray(days, dtype=object),
-        ends, np.concatenate(companies), lookback, horizon, normalizer.close_index,
+        ends, np.concatenate(companies), lookback, horizon,
     )
     return windows[ends + horizon < split_at], windows[ends + 1 >= split_at]
 

@@ -91,7 +91,6 @@ SETTING_CASES = [
     ("train.dropout", "dropout", "0.5", "train.dropout", 0.5),
     ("train.hidden_continuous_size", "hidden_continuous_size", "4", "train.hidden_continuous_size", 4),
     ("train.norm_type", "norm_type", "layernorm", "train.norm_type", "layernorm"),
-    ("train.optimizer", "optimizer", "adam", "train.optimizer", "adam"),
     ("train.batch_size", "batch_size", "16", "train.batch_size", 16),
     ("train.learning_rate", "learning_rate", "0.01", "train.learning_rate", 0.01),
     ("train.beta1", "beta1", "0.8", "train.beta1", 0.8),

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from senticast.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from senticast.checkpoint import CHECKPOINT_VERSION, load_checkpoint, restore_model, save_checkpoint
 from senticast.errors import CheckpointError
 from senticast.models import TrainConfig
 from senticast.training import build_model
@@ -21,7 +21,6 @@ def make_parts(kind="tft_lite"):
     spec = FeatureSetSpec("HLOVS")
     normalizer = Normalizer(
         tickers=["AAA", "BBB"],
-        columns=spec.columns,
         means=np.random.default_rng(0).normal(size=(2, 6)),
         stds=np.abs(np.random.default_rng(1).normal(size=(2, 6))) + 0.5,
         train_rows=[40, 44],
@@ -77,7 +76,7 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_file_with_17_digit_floats_loads_exactly(self, tmp_path):
-        # Version-1 files were written with every float at 17 significant
+        # Early files were written with every float at 17 significant
         # digits; those still load to the doubles that were saved.
         model, cfg, spec, normalizer = make_parts()
         model.parameters()[0].data.reshape(-1)[0] = 0.1
@@ -88,12 +87,51 @@ class TestRoundTrip:
         assert "0.10000000000000001" in text
         path.write_text(text)
         checkpoint = load_checkpoint(path)
-        assert checkpoint.format_version == 1
         assert checkpoint.config == cfg
         assert np.array_equal(checkpoint.normalizer.means, normalizer.means)
         assert np.array_equal(checkpoint.normalizer.stds, normalizer.stds)
         for p in model.parameters():
             assert np.array_equal(checkpoint.tensors[p.name], p.data)
+
+
+def saved_doc(tmp_path) -> tuple:
+    """A saved checkpoint's path and its parsed JSON, for tests that edit the file."""
+    model, cfg, spec, normalizer = make_parts()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model, cfg, spec, normalizer, n_companies=2)
+    return path, json.loads(path.read_text())
+
+
+class TestFormat:
+    def test_column_list_is_stored_once(self, tmp_path):
+        _, doc = saved_doc(tmp_path)
+        assert doc["format_version"] == CHECKPOINT_VERSION == 2
+        assert doc["feature_set"] == {"kind": "HLOVS", "embedding_dim": 0}
+        assert set(doc["normalizer"]) == {"tickers", "means", "stds", "train_rows"}
+        assert "optimizer" not in doc["train_config"]
+
+    def test_version_1_file_rejected_naming_version(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        doc["format_version"] = 1
+        doc["train_config"]["optimizer"] = "adam"
+        doc["normalizer"]["columns"] = FeatureSetSpec("HLOVS").columns
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="unsupported.*version 1"):
+            load_checkpoint(path)
+
+
+# Edits to a saved checkpoint's normalizer (HLOVS, two tickers) that load
+# must refuse: (id, edit, the field the error names).  `predict` on such a
+# file is tested in test_cli.py for a narrower kind, a NaN mean, an
+# infinite or zero std and an extra train_rows entry.
+NORMALIZER_FAULTS = [
+    ("kind-wider", lambda doc: doc["feature_set"].update(kind="HLOVE", embedding_dim=4), "means"),
+    ("means-ticker-missing", lambda doc: doc["normalizer"]["means"].pop(), "means"),
+    ("stds-extra-ticker", lambda doc: doc["normalizer"]["stds"].append([1.0] * 6), "stds"),
+    ("stds-negative", lambda doc: doc["normalizer"]["stds"][0].__setitem__(0, -1.0), "stds"),
+    ("train-rows-short", lambda doc: doc["normalizer"]["train_rows"].pop(), "train_rows"),
+    ("train-rows-zero", lambda doc: doc["normalizer"]["train_rows"].__setitem__(0, 0), "train_rows"),
+]
 
 
 class TestCorruption:
@@ -107,13 +145,19 @@ class TestCorruption:
             load_checkpoint(path)
 
     def test_future_version_rejected(self, tmp_path):
-        model, cfg, spec, normalizer = make_parts()
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, model, cfg, spec, normalizer, n_companies=2)
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 2
+        path, doc = saved_doc(tmp_path)
+        doc["format_version"] = 3
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="unsupported.*version 2"):
+        with pytest.raises(CheckpointError, match="unsupported.*version 3"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, field", [case[1:] for case in NORMALIZER_FAULTS],
+                             ids=[case[0] for case in NORMALIZER_FAULTS])
+    def test_normalizer_fault_rejected_naming_field(self, tmp_path, edit, field):
+        path, doc = saved_doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity
+        with pytest.raises(CheckpointError, match=f"normalizer {field} "):
             load_checkpoint(path)
 
     def test_shape_mismatch_detected(self, tmp_path):

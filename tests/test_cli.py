@@ -33,6 +33,26 @@ def run_pipeline(out: Path, *extra: str) -> None:
         assert run(command, out, *extra) == EXIT_OK, command
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory) -> Path:
+    """An output directory after preprocess, features and train on the fixture."""
+    out = tmp_path_factory.mktemp("trained") / "out"
+    for command in ("preprocess", "features", "train"):
+        assert run(command, out) == EXIT_OK, command
+    return out
+
+
+def edited_checkpoint(trained: Path, tmp_path: Path, edit) -> Path:
+    """A copy of `trained` whose checkpoint JSON went through `edit`."""
+    out = tmp_path / "out"
+    shutil.copytree(trained, out)
+    path = out / "train" / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity
+    return out
+
+
 class TestPrerequisites:
     def test_evaluate_before_train_exits_2_naming_checkpoint(self, tmp_path, caplog):
         assert run("evaluate", tmp_path / "out") == EXIT_MISSING
@@ -45,16 +65,31 @@ class TestPrerequisites:
         assert run("predict", out) == EXIT_MISSING
         assert "checkpoint" in caplog.text
 
-    def test_predict_with_non_finite_checkpoint_exits_3_naming_tensor(self, tmp_path, caplog):
-        out = tmp_path / "out"
-        for command in ("preprocess", "features", "train"):
-            assert run(command, out) == EXIT_OK, command
-        path = out / "train" / "checkpoint.json"
-        doc = json.loads(path.read_text())
-        doc["tensors"][0]["values"][0] = float("nan")
-        path.write_text(json.dumps(doc))  # json.dumps writes NaN
+    def test_predict_with_non_finite_checkpoint_exits_3_naming_tensor(self, trained, tmp_path, caplog):
+        name = json.loads((trained / "train" / "checkpoint.json").read_text())["tensors"][0]["name"]
+        out = edited_checkpoint(trained, tmp_path, lambda doc: doc["tensors"][0]["values"].__setitem__(0, float("nan")))
         assert run("predict", out) == EXIT_VALIDATION
-        assert repr(doc["tensors"][0]["name"]) in caplog.text
+        assert repr(name) in caplog.text
+
+    # Checkpoints whose normalizer does not fit the fixture's HLOVS feature
+    # set over two tickers: (id, edit, the field the error names).
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc["feature_set"].update(kind="HLOV"), "means"),
+            (lambda doc: doc["normalizer"]["means"][1].__setitem__(0, float("nan")), "means"),
+            (lambda doc: doc["normalizer"]["stds"][0].__setitem__(4, float("inf")), "stds"),
+            (lambda doc: doc["normalizer"]["stds"][0].__setitem__(4, float("-inf")), "stds"),
+            (lambda doc: doc["normalizer"]["stds"][1].__setitem__(4, 0.0), "stds"),
+            (lambda doc: doc["normalizer"]["train_rows"].append(100), "train_rows"),
+        ],
+        ids=["kind-over-wider-normalizer", "nan-mean", "inf-std", "minus-inf-std", "zero-std", "extra-train-rows"],
+    )
+    def test_predict_with_mismatched_normalizer_exits_3_naming_field(self, trained, tmp_path, caplog, edit, field):
+        out = edited_checkpoint(trained, tmp_path, edit)
+        assert run("predict", out) == EXIT_VALIDATION
+        assert f"normalizer {field} " in caplog.text
+        assert not (out / "predict" / "predictions.csv").exists()
 
     def test_features_before_preprocess_exits_2(self, tmp_path):
         assert run("features", tmp_path / "out") == EXIT_MISSING
@@ -160,12 +195,20 @@ class TestUsageErrors:
     # argparse's own exit status for a usage error is 2, which would read as
     # a missing artifact; main reports usage errors as validation failures.
     @pytest.mark.parametrize(
-        "extra", [("--adam-eps", "-1e-8"), ("--no-such-flag", "1")], ids=["negative-exponent-word", "unknown-flag"]
+        "extra",
+        [("--adam-eps", "-1e-8"), ("--no-such-flag", "1"), ("--optimizer", "adam")],
+        ids=["negative-exponent-word", "unknown-flag", "removed-optimizer-flag"],
     )
     def test_usage_error_exits_3(self, tmp_path, capsys, extra):
         assert run("train", tmp_path / "out", *extra) == EXIT_VALIDATION
         assert extra[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_removed_optimizer_key_exits_3(self, tmp_path, caplog):
+        config = tmp_path / "run.cfg"
+        config.write_text(Path(FIXTURE_CONFIG).read_text() + "train.optimizer = adam\n")
+        assert main(["train", "--config", str(config)]) == EXIT_VALIDATION
+        assert "unknown key 'train.optimizer'" in caplog.text
 
     def test_help_exits_0(self, capsys):
         assert main(["train", "--help"]) == EXIT_OK

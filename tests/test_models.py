@@ -22,7 +22,6 @@ class TestTrainConfig:
         assert cfg.dropout == 0.25
         assert cfg.hidden_continuous_size == 32
         assert cfg.norm_type == "rmsnorm"
-        assert cfg.optimizer == "adam"
         assert cfg.batch_size == 32
         cfg.validate()
 
@@ -30,9 +29,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(hidden_size=30, n_heads=4).validate()
 
-    def test_unknown_optimizer(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(optimizer="adagrad").validate()
+    def test_optimizer_field_is_gone(self):
+        # Adam is the only optimizer, so a train config that names one is refused.
+        with pytest.raises(ConfigError, match="optimizer"):
+            TrainConfig.from_dict({"optimizer": "adam"})
 
     def test_round_trip(self):
         cfg = TrainConfig(hidden_size=16, n_heads=2, dropout=0.1)

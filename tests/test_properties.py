@@ -30,7 +30,7 @@ from senticast.text import (
 )
 from senticast.nn import Tensor
 from senticast.training import build_model
-from senticast.windows import FeatureSetSpec, Normalizer
+from senticast.windows import FeatureSetSpec, Normalizer, build_windows
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -58,13 +58,12 @@ def checkpoint_parts(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     normalizer = Normalizer(
         tickers=[f"T{i}" for i in range(n_companies)],
-        columns=spec.columns,
         means=rng.normal(size=(n_companies, n_features)),
         stds=rng.uniform(0.5, 2.0, size=(n_companies, n_features)),
         train_rows=[40] * n_companies,
     )
     model_kind = draw(st.sampled_from(["nlinear", "tft_lite"]))
-    model = build_model(model_kind, cfg, n_features, n_companies, rng, close_col=normalizer.close_index)
+    model = build_model(model_kind, cfg, n_features, n_companies, rng)
     for p in model.parameters():  # move weights off their init values
         p.data = p.data + rng.normal(0.0, 0.01, p.data.shape)
     return model, cfg, spec, normalizer, n_companies
@@ -299,3 +298,88 @@ def test_composite_rank_ignores_record_order(data):
             key = (entry.composite, entry.metric_ranks["mape"])
             if keys.count(key) == 1:
                 assert by_model[entry.record.model].position == entry.position
+
+
+WINDOW_DAYS = BusinessCalendar().days_between(MONDAY, MONDAY + timedelta(days=70))
+
+
+def random_rows(rng: np.random.Generator, days: list[date], dim: int) -> list[PanelRow]:
+    rows = []
+    for day in days:
+        close = float(rng.uniform(10.0, 100.0))
+        values = [close * 1.01, close * 0.99, float(rng.uniform(10.0, 100.0)), float(rng.uniform(1e3, 1e4)), close]
+        embedding = rng.normal(size=dim).tolist() if dim else None
+        rows.append(PanelRow(day, *values, *rng.normal(size=2).tolist(), embedding, int(rng.integers(2)),
+                             day.weekday()))
+    return rows
+
+
+@st.composite
+def window_cases(draw):
+    lookback, horizon = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["HLOV", "HLOVS", "HLOVE"]))
+    dim = 2 if kind == "HLOVE" else 0
+    lengths = draw(st.lists(st.integers(max(lookback + horizon, 8), len(WINDOW_DAYS)), min_size=1, max_size=3))
+    split = draw(st.one_of(st.just(1.0), st.floats(0.25, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    panels = [AlignedPanel(f"T{c}", random_rows(rng, WINDOW_DAYS[:n], dim), dim) for c, n in enumerate(lengths)]
+    return panels, FeatureSetSpec(kind, dim), lookback, horizon, split, rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_cases())
+def test_windows_never_read_past_the_split(case):
+    panels, spec, lookback, horizon, split, rng = case
+    train, test, norm = build_windows(panels, spec, lookback, horizon, split)
+    for company, panel in enumerate(panels):
+        T, split_at = len(panel.rows), norm.train_rows[company]
+        assert split_at == (T if split == 1.0 else int(split * T))
+        split_day = panel.rows[split_at].day if split_at < T else date.max
+        ours = [w for w in train if w.company_index == company]
+        assert len(ours) == max(0, split_at - horizon - lookback + 1)
+        assert all(max(w.target_days) < split_day for w in ours)
+        ours = [w for w in test if w.company_index == company]
+        assert len(ours) == max(0, T - horizon - max(lookback, split_at) + 1)
+        assert all(min(w.target_days) >= split_day for w in ours)
+
+    # Rewrite every row at or after each company's split: nothing that
+    # training sees may change.
+    changed = [
+        AlignedPanel(p.ticker, p.rows[:n] + random_rows(rng, [r.day for r in p.rows[n:]], p.embedding_dim),
+                     p.embedding_dim)
+        for p, n in zip(panels, norm.train_rows)
+    ]
+    train2, _, norm2 = build_windows(changed, spec, lookback, horizon, split)
+    assert norm2.train_rows == norm.train_rows
+    assert norm2.means.tobytes() == norm.means.tobytes()
+    assert norm2.stds.tobytes() == norm.stds.tobytes()
+    assert len(train2) == len(train)
+    for field in ("past", "known", "target", "anchor", "company"):
+        assert getattr(train2, field).tobytes() == getattr(train, field).tobytes(), field
+    assert list(train2.target_days.ravel()) == list(train.target_days.ravel())
+
+
+JAN_TO_MAR = [MONDAY + timedelta(days=i) for i in range(90)]
+WEEKDAY_HOLIDAYS = st.frozensets(st.sampled_from([d for d in JAN_TO_MAR if d.weekday() < 5]), max_size=30)
+
+
+def trades(day: date, holidays: frozenset) -> bool:
+    return day.weekday() < 5 and day not in holidays
+
+
+@settings(max_examples=200, deadline=None)
+@given(WEEKDAY_HOLIDAYS, st.sampled_from(JAN_TO_MAR), st.sampled_from(JAN_TO_MAR))
+def test_calendar_matches_day_by_day_oracle(holidays, start, end):
+    cal = BusinessCalendar(holidays)
+    # next_business_day: the first trading day on or after the start
+    nxt = cal.next_business_day(start)
+    assert nxt >= start and trades(nxt, holidays)
+    assert not any(trades(start + timedelta(days=i), holidays) for i in range((nxt - start).days))
+    # days_between: exactly the trading days in [start, end]
+    span = [start + timedelta(days=i) for i in range((end - start).days + 1)]
+    assert cal.days_between(start, end) == [d for d in span if trades(d, holidays)]
+    # follows_holiday: a listed holiday lies strictly between the previous trading day and this one
+    prev = end - timedelta(days=1)
+    while not trades(prev, holidays):
+        prev -= timedelta(days=1)
+    assert cal.follows_holiday(end) == any(prev < h < end for h in holidays)

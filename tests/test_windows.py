@@ -116,9 +116,10 @@ class TestBuildWindows:
         rng = np.random.default_rng(1)
         closes = (100 + rng.normal(0, 5, 60).cumsum()).tolist()
         panel = make_panel("AAA", closes)
-        _, _, norm = build_windows([panel], FeatureSetSpec("HLOVS"), 15, 3, split=0.8)
+        spec = FeatureSetSpec("HLOVS")
+        _, _, norm = build_windows([panel], spec, 15, 3, split=0.8)
         values = np.asarray(closes)
-        matrix = np.zeros((len(values), len(norm.columns)))
+        matrix = np.zeros((len(values), len(spec.columns)))
         matrix[:, norm.close_index] = values
         round_trip = norm.denormalize_close(0, norm.normalize(0, matrix)[:, norm.close_index])
         assert np.allclose(round_trip, values, atol=1e-10)
