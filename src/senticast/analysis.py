@@ -44,17 +44,16 @@ class ProbeResult:
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their rank span."""
+    """1-based ranks; tied values share the mean of their rank span, and each NaN ranks alone."""
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    # Runs of equal values in sorted order; NaN != NaN, so every NaN starts a run.
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))[: len(v)]
+    lengths = np.diff(np.append(starts, len(v)))
+    ends = starts + lengths - 1
     ranks = np.empty(len(v), dtype=np.float64)
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, lengths)
     return ranks
 
 
@@ -66,8 +65,10 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValidationError("need at least two observations")
     rx = average_ranks(x)
     ry = average_ranks(y)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
+    return _pearson(rx - rx.mean(), ry - ry.mean())
+
+
+def _pearson(dx: np.ndarray, dy: np.ndarray) -> float:
     denom = np.sqrt(float(dx @ dx) * float(dy @ dy))
     if denom == 0.0:
         raise DomainError("correlation undefined for constant input")
@@ -115,11 +116,14 @@ def correlation_table(columns: dict[str, Sequence[float]]) -> CorrelationTable:
     lengths = {len(columns[name]) for name in names}
     if len(lengths) != 1:
         raise ValidationError(f"columns have unequal lengths: {sorted(lengths)}")
+    if min(lengths) < 2:
+        raise ValidationError("need at least two observations")
     n = len(names)
+    centered = [r - r.mean() for r in map(average_ranks, columns.values())]
     matrix = [[1.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rho = spearman(columns[names[i]], columns[names[j]])
+            rho = _pearson(centered[i], centered[j])
             matrix[i][j] = rho
             matrix[j][i] = rho
     table = CorrelationTable(names=names, matrix=matrix)

@@ -85,6 +85,12 @@ def load_checkpoint(path: Path | str) -> ModelCheckpoint:
     try:
         config = TrainConfig.from_dict(doc["train_config"])
         spec = FeatureSetSpec(doc["feature_set"]["kind"], doc["feature_set"]["embedding_dim"])
+        for name in ("means", "stds"):
+            for i, row in enumerate(doc["normalizer"][name]):
+                if len(row) != len(spec.columns):
+                    raise CheckpointError(
+                        f"normalizer {name} row {i} has {len(row)} values, expected {len(spec.columns)}"
+                    )
         normalizer = Normalizer.from_dict(doc["normalizer"])
         n_companies = int(doc["n_companies"])
         model_type = doc["model_type"]

@@ -84,9 +84,11 @@ def write_json(path: Path, obj) -> None:
     write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]], line_end: str = "\n") -> None:
+    # The writer quotes a field only for the characters of `line_end`, and an
+    # unquoted CR reads back as a line end: a field holding a CR needs "\r\n".
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(buffer, lineterminator=line_end)
     writer.writerow(header)
     writer.writerows(rows)
     write_atomic(path, buffer.getvalue())
@@ -113,7 +115,8 @@ def cmd_preprocess(config: RunConfig, artifacts: Artifacts) -> None:
          "" if t.sentiment is None else str(t.sentiment))
         for t in kept
     )
-    write_csv(artifacts.tweets_clean, header, rows)
+    has_cr = any("\r" in t.tweet_id or "\r" in t.writer or "\r" in t.body for t in kept)
+    write_csv(artifacts.tweets_clean, header, rows, "\r\n" if has_cr else "\n")
     write_json(artifacts.filter_stats, stats)
     log.info("preprocess: kept %d of %d tweets", stats["kept"], stats["input"])
 

@@ -1,7 +1,7 @@
 """CSV reading and atomic file replacement, shared by every input reader and artifact writer.
 
-It imports neither numpy nor the model code, so that a module reading or
-writing plain CSV (such as `text`) can use it without loading them.
+It imports neither numpy nor the model code, so reading or writing plain
+CSV through it loads neither.
 """
 
 from __future__ import annotations

@@ -11,10 +11,13 @@ import csv
 import io
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import AlignmentError, NoObservations, ParseError, ValidationError
 from .fileio import read_csv, write_atomic
@@ -37,7 +40,7 @@ class TweetRecord:
     ticker: str
     body: str
     sentiment: int | None = None
-    embedding: list[float] | None = None
+    embedding: Sequence[float] | np.ndarray | None = None
 
     def calendar_day(self) -> date:
         return self.post_date.date()
@@ -100,8 +103,9 @@ def filter_corpus(
     tickers = sorted({t.upper() for t in known_tickers})
     if not tickers:
         raise ValidationError("known_tickers must be nonempty")
-    patterns = [
-        re.compile(rf"(?<![A-Za-z0-9])\$?{re.escape(t)}(?![A-Za-z0-9])", re.IGNORECASE) for t in tickers
+    scans = [
+        (t if t.isascii() else None, re.compile(rf"(?<![A-Za-z0-9])\$?{re.escape(t)}(?![A-Za-z0-9])", re.IGNORECASE))
+        for t in tickers
     ]
     stats = {
         "input": len(tweets),
@@ -115,7 +119,7 @@ def filter_corpus(
     for tweet in tweets:
         if not tweet.writer or not tweet.writer.strip():
             stats["missing_writer"] += 1
-        elif len([p for p in patterns if p.search(tweet.body)]) >= 2:
+        elif _mentions_several(tweet.body, scans):
             stats["multi_ticker"] += 1
         else:
             staged.append(tweet)
@@ -142,6 +146,23 @@ def filter_corpus(
 
     stats["kept"] = len(kept)
     return kept, stats
+
+
+def _mentions_several(body: str, scans: list[tuple[str | None, re.Pattern]]) -> bool:
+    """Whether two or more of the `(gate, pattern)` scans match `body`.
+
+    A pattern can match an ASCII body only where its ASCII ticker (the
+    gate) occurs in the upper-cased body, so a failed substring test skips
+    the regex.  Under IGNORECASE a non-ASCII character can match an ASCII
+    one (the Kelvin sign matches `k`), so a non-ASCII body or ticker (gate
+    None) always runs the regex.
+    """
+    if body.isascii():
+        upper = body.upper()
+        candidates = [p for gate, p in scans if gate is None or gate in upper]
+    else:
+        candidates = [p for _, p in scans]
+    return len(candidates) >= 2 and sum(1 for p in candidates if p.search(body)) >= 2
 
 
 def sentiment_scores(n_neg: int, n_pos: int) -> tuple[float, float]:
@@ -178,19 +199,42 @@ def aggregate_daily_text(
         buckets.setdefault((tweet.ticker, day), []).append(tweet)
 
     out = []
+    pooled: list[DailyTextFeatures] = []
+    groups = []
     for (ticker, day), group in sorted(buckets.items()):  # keys are unique, so groups are never compared
         n_pos = sum(1 for t in group if t.sentiment == 1)
         n_neg = sum(1 for t in group if t.sentiment == 0)
         score1, score2 = sentiment_scores(n_neg, n_pos)
+        out.append(DailyTextFeatures(day, ticker, n_pos, n_neg, score1, score2))
         vectors = [t.embedding for t in group if t.embedding is not None]
-        mean_embedding = None
         if vectors:
-            # Welford running mean: exact when all vectors coincide.
-            mean_embedding = list(vectors[0])
-            for count, vec in enumerate(vectors[1:], start=2):
-                for j, value in enumerate(vec):
-                    mean_embedding[j] += (value - mean_embedding[j]) / count
-        out.append(DailyTextFeatures(day, ticker, n_pos, n_neg, score1, score2, mean_embedding))
+            pooled.append(out[-1])
+            groups.append(vectors)
+    if groups:
+        for feats, mean in zip(pooled, _running_means(groups)):
+            feats.mean_embedding = mean.tolist()
+    return out
+
+
+def _running_means(groups: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
+    """Welford mean of each nonempty group of equal-length vectors, one row per group.
+
+    Every element sees `m += (v - m) / count` for the group's vectors in
+    order, so the result is exact when all vectors coincide.  Step k
+    updates every group longer than k at once: with the groups sorted
+    longest first, those are a prefix.
+    """
+    sizes = np.array([len(g) for g in groups], dtype=np.int64)
+    order = np.argsort(-sizes, kind="stable")
+    sizes = sizes[order]
+    starts = np.cumsum(sizes) - sizes
+    flat = np.array([v for i in order for v in groups[i]], dtype=np.float64)
+    means = flat[starts]
+    for k in range(1, int(sizes[0])):
+        active = int(np.count_nonzero(sizes > k))
+        means[:active] += (flat[starts[:active] + k] - means[:active]) / (k + 1)
+    out = np.empty_like(means)
+    out[order] = means
     return out
 
 
@@ -289,36 +333,42 @@ def load_tweets_csv(path: Path | str) -> list[TweetRecord]:
     return out
 
 
-def load_embeddings_csv(path: Path | str) -> dict[str, list[float]]:
+def load_embeddings_csv(path: Path | str) -> dict[str, np.ndarray]:
     """Read `tweet_id,v0,...,v{d-1}`; the column count declares d.
 
-    A `tweet_id` may appear once only.
+    Each id maps to a read-only row of one float64 matrix.  A `tweet_id`
+    may appear once only, and every value must be finite.
     """
     path = Path(path)
-    out: dict[str, list[float]] = {}
+    ids: dict[str, None] = {}
+    values = array("d")
     rows = read_csv(path)
     _, header = next(rows)
     if not header or header[0].strip() != "tweet_id" or len(header) < 2:
         raise ParseError(f"{path}:1: expected header tweet_id,v0,...")
     for lineno, row in rows:
-        if row[0] in out:
+        if row[0] in ids:
             raise ParseError(f"{path}:{lineno}: duplicate tweet_id {row[0]!r}")
         try:
-            vector = [float(cell) for cell in row[1:]]
+            vector = list(map(float, row[1:]))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if any(not math.isfinite(v) for v in vector):
+        # A finite sum proves every value finite; a sum that overflows checks them one by one.
+        if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):
             raise ValidationError(f"{path}:{lineno}: non-finite embedding value")
-        out[row[0]] = vector
-    return out
+        ids[row[0]] = None
+        values.extend(vector)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(-1, len(header) - 1)
+    matrix.flags.writeable = False
+    return dict(zip(ids, matrix))
 
 
-def attach_embeddings(tweets: Sequence[TweetRecord], vectors: dict[str, list[float]]) -> None:
-    """Set each tweet's embedding from the lookup."""
+def attach_embeddings(tweets: Sequence[TweetRecord], vectors: dict[str, np.ndarray]) -> None:
+    """Point each tweet's embedding at its row of the lookup, without copying it."""
     for tweet in tweets:
         vec = vectors.get(tweet.tweet_id)
         if vec is not None:
-            tweet.embedding = list(vec)
+            tweet.embedding = vec
 
 
 def write_panel_csv(path: Path | str, panel: AlignedPanel) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -57,6 +58,39 @@ def spearman_oracle(x, y) -> float:
     vx = sum((a - mx) ** 2 for a in rx)
     vy = sum((b - my) ** 2 for b in ry)
     return cov / math.sqrt(vx * vy)
+
+
+def average_ranks_loop(values) -> np.ndarray:
+    """1-based average ranks by walking each run of ties in stable-sorted order."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(len(v), dtype=np.float64)
+    i = 0
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def welford_mean_loop(vectors) -> list[float]:
+    """Running mean of equal-length vectors, one Python float at a time."""
+    mean = [float(v) for v in vectors[0]]
+    for count, vec in enumerate(vectors[1:], start=2):
+        for j, value in enumerate(vec):
+            mean[j] += (value - mean[j]) / count
+    return mean
+
+
+def mentions_several_oracle(body: str, tickers) -> bool:
+    """Whether two or more ticker patterns match `body`, with every regex run."""
+    patterns = [
+        re.compile(rf"(?<![A-Za-z0-9])\$?{re.escape(t)}(?![A-Za-z0-9])", re.IGNORECASE)
+        for t in sorted({t.upper() for t in tickers})
+    ]
+    return len([p for p in patterns if p.search(body)]) >= 2
 
 
 def adam_reference(params, state: dict, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:

@@ -129,6 +129,8 @@ NORMALIZER_FAULTS = [
     ("means-ticker-missing", lambda doc: doc["normalizer"]["means"].pop(), "means"),
     ("stds-extra-ticker", lambda doc: doc["normalizer"]["stds"].append([1.0] * 6), "stds"),
     ("stds-negative", lambda doc: doc["normalizer"]["stds"][0].__setitem__(0, -1.0), "stds"),
+    ("means-row-short", lambda doc: doc["normalizer"]["means"][1].pop(), "means row 1 has 5 values,"),
+    ("stds-row-long", lambda doc: doc["normalizer"]["stds"][0].append(1.0), "stds row 0 has 7 values,"),
     ("train-rows-short", lambda doc: doc["normalizer"]["train_rows"].pop(), "train_rows"),
     ("train-rows-zero", lambda doc: doc["normalizer"]["train_rows"].__setitem__(0, 0), "train_rows"),
 ]

@@ -82,8 +82,12 @@ class TestPrerequisites:
             (lambda doc: doc["normalizer"]["stds"][0].__setitem__(4, float("-inf")), "stds"),
             (lambda doc: doc["normalizer"]["stds"][1].__setitem__(4, 0.0), "stds"),
             (lambda doc: doc["normalizer"]["train_rows"].append(100), "train_rows"),
+            (lambda doc: doc["normalizer"]["means"][1].pop(), "means row 1"),
         ],
-        ids=["kind-over-wider-normalizer", "nan-mean", "inf-std", "minus-inf-std", "zero-std", "extra-train-rows"],
+        ids=[
+            "kind-over-wider-normalizer", "nan-mean", "inf-std", "minus-inf-std", "zero-std", "extra-train-rows",
+            "ragged-means",
+        ],
     )
     def test_predict_with_mismatched_normalizer_exits_3_naming_field(self, trained, tmp_path, caplog, edit, field):
         out = edited_checkpoint(trained, tmp_path, edit)

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from senticast.errors import ParseError
+from senticast.errors import ParseError, ValidationError
 from senticast.market import BusinessCalendar, parse_ohlcv_csv
 from senticast.text import load_embeddings_csv, load_tweets_csv, read_panel_csv
 
@@ -43,7 +44,8 @@ date,high,low,open,volume,close,score,score_raw,holiday,dow,e0,e1,e2
 READERS = {
     "ohlcv": (OHLCV, lambda path: parse_ohlcv_csv(path, BusinessCalendar(), "T")),
     "tweets": (TWEETS, load_tweets_csv),
-    "embeddings": (EMBEDDINGS, load_embeddings_csv),
+    # Each id maps to a row of one matrix; `.tolist()` makes the lookups comparable with `==`.
+    "embeddings": (EMBEDDINGS, lambda path: {k: v.tolist() for k, v in load_embeddings_csv(path).items()}),
     "panel": (PANEL, lambda path: read_panel_csv(path, "T")),
 }
 
@@ -102,6 +104,32 @@ def test_line_numbers_count_file_lines_across_quoted_newlines(tmp_path):
 def test_repeated_embedding_id_names_its_line(tmp_path):
     with pytest.raises(ParseError, match=":3: duplicate tweet_id '1'"):
         load(tmp_path, "embeddings", "tweet_id,v0\n1,0.5\n1,0.7\n")
+
+
+@pytest.mark.parametrize("first, second, error, message", [
+    ("nan", "abc", ValidationError, ":2: non-finite embedding value"),
+    ("abc", "inf", ParseError, ":2: could not convert string to float: 'abc'"),
+])
+def test_first_faulty_embedding_line_is_reported(tmp_path, first, second, error, message):
+    with pytest.raises(error, match=f"{message}$"):
+        load(tmp_path, "embeddings", f"tweet_id,v0,v1\n1,0.5,{first}\n2,{second},0.5\n")
+
+
+def test_embedding_row_whose_sum_overflows_is_accepted(tmp_path):
+    path = tmp_path / "embeddings.csv"
+    path.write_text("tweet_id,v0,v1\n1,1e308,1e308\n2,-1e308,-1e308\n")
+    vectors = load_embeddings_csv(path)
+    assert {k: v.tolist() for k, v in vectors.items()} == {"1": [1e308, 1e308], "2": [-1e308, -1e308]}
+
+
+def test_embeddings_are_read_only_rows_of_one_matrix(tmp_path):
+    path = tmp_path / "embeddings.csv"
+    path.write_text(EMBEDDINGS)
+    vectors = load_embeddings_csv(path)
+    rows = list(vectors.values())
+    assert all(row.dtype == np.float64 and row.base is rows[0].base for row in rows)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0][0] = 1.0
 
 
 def test_fileio_imports_no_numpy():

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
-import re
+import csv
+import math
 import tempfile
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import dmse_oracle, spearman_oracle
-from senticast.analysis import spearman
+from conftest import (
+    average_ranks_loop,
+    dmse_oracle,
+    mentions_several_oracle,
+    spearman_oracle,
+    welford_mean_loop,
+)
+from senticast.analysis import average_ranks, spearman
 from senticast.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from senticast.cli import main
 from senticast.losses import dmse_loss_batch
 from senticast.market import BusinessCalendar, OhlcvBar, PriceSeries, smooth
 from senticast.metrics import METRIC_NAMES, MetricsRecord, composite_rank
@@ -22,9 +30,11 @@ from senticast.text import (
     DailyTextFeatures,
     PanelRow,
     TweetRecord,
+    aggregate_daily_text,
     align_panel,
     clean_tweet,
     filter_corpus,
+    load_tweets_csv,
     read_panel_csv,
     write_panel_csv,
 )
@@ -33,7 +43,7 @@ from senticast.training import build_model
 from senticast.windows import FeatureSetSpec, Normalizer, build_windows
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -195,13 +205,12 @@ def corpora(draw):
 
 def filter_two_pass(tweets, known):
     """Independent route: the raw-body dedupe over the whole corpus, then the clean-body one."""
-    patterns = [re.compile(rf"(?<![A-Za-z0-9])\$?{t}(?![A-Za-z0-9])", re.IGNORECASE) for t in known]
     stats = {"input": len(tweets), "missing_writer": 0, "multi_ticker": 0, "raw_duplicate": 0, "clean_duplicate": 0}
     staged = []
     for t in tweets:
         if not t.writer.strip():
             stats["missing_writer"] += 1
-        elif sum(bool(p.search(t.body)) for p in patterns) >= 2:
+        elif mentions_several_oracle(t.body, known):
             stats["multi_ticker"] += 1
         else:
             staged.append(t)
@@ -238,6 +247,120 @@ def test_filter_corpus_partitions_the_input(tweets):
 
 # Half-integers in a narrow range: ties, flat moves and repeated values are common.
 tied_values = st.integers(-4, 4).map(lambda v: v * 0.5)
+
+
+# Tickers with regex metacharacters, and ones that upper-case to ASCII
+# (`ſT`) or stay non-ASCII (Kelvin sign); bodies mix them, in any case,
+# with characters that IGNORECASE matches across the ASCII boundary.
+TICKER_POOL = ["AAA", "BRK.B", "BF-B", "K", "S", "I", "C++", "A(B)", "X*", "\u017fT", "\u212aO"]
+BODY_PIECES = [" ", "$", ".", "-", "1", "x", "k", "s", "i", "\u0130", "\u212a", "\u017f", "\u0131"]
+
+
+@st.composite
+def ticker_bodies(draw):
+    tickers = draw(st.lists(st.sampled_from(TICKER_POOL), min_size=1, max_size=4, unique=True))
+    mention = st.sampled_from(tickers).flatmap(lambda t: st.sampled_from([t, t.lower(), t.swapcase()]))
+    return "".join(draw(st.lists(mention | st.sampled_from(BODY_PIECES), max_size=10))), tickers
+
+
+@settings(max_examples=300, deadline=None)
+@given(ticker_bodies())
+@example(("\u212a and AAA", ["K", "AAA"]))
+@example(("ko and AAA", ["\u212aO", "AAA"]))
+def test_multi_ticker_drop_matches_every_regex_run(case):
+    body, tickers = case
+    _, stats = filter_corpus([TweetRecord("1", "w", datetime(2021, 1, 4, 9), "AAA", body)], tickers)
+    assert stats["multi_ticker"] == int(mentions_several_oracle(body, tickers))
+
+
+BODY_CHARS = st.sampled_from(list("ab Z,;\"'\n\r$#\u00e9"))
+
+
+@st.composite
+def tweet_records(draw):
+    """Quoted, comma- and newline-laden fields; every post_date has the same UTC offset, or none."""
+    offset = draw(st.none() | st.integers(-12, 14).map(lambda h: timezone(timedelta(hours=h))))
+    start = datetime(2021, 1, 4, 9, tzinfo=offset)
+    return [
+        TweetRecord(
+            draw(st.text(BODY_CHARS, max_size=4)),
+            draw(st.text(BODY_CHARS, max_size=4)),
+            start + timedelta(seconds=draw(st.integers(0, 10**6)), microseconds=draw(st.sampled_from([0, 250]))),
+            draw(st.sampled_from(TICKERS)),
+            draw(st.text(BODY_CHARS, max_size=12)),
+            draw(st.sampled_from([None, 0, 1])),
+        )
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tweet_records())
+def test_preprocess_writes_tweets_that_read_back_equal(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with open(tmp / "tweets.csv", "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["tweet_id", "writer", "post_date", "ticker", "body", "sentiment"])
+            for t in records:
+                sentiment = "" if t.sentiment is None else str(t.sentiment)
+                writer.writerow([t.tweet_id, t.writer, t.post_date.isoformat(sep=" "), t.ticker, t.body, sentiment])
+        (tmp / "run.cfg").write_text(
+            "paths.ohlcv_dir = ohlcv\npaths.tweets = tweets.csv\npaths.output = out\ntickers = AAA,BBB\n"
+        )
+        assert main(["preprocess", "--config", str(tmp / "run.cfg")]) == 0
+        assert load_tweets_csv(tmp / "out" / "preprocess" / "tweets_clean.csv") == filter_corpus(records, TICKERS)[0]
+
+
+@st.composite
+def embedded_tweets(draw):
+    """Labeled tweets over two weeks from a Friday, with or without embeddings of one width."""
+    dim = draw(st.integers(1, 4))
+    values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300, 0.1, 1e300])
+    tweets = [
+        TweetRecord(
+            str(i),
+            "w",
+            datetime(2021, 1, 1, 9) + timedelta(hours=draw(st.integers(0, 24 * 14))),
+            draw(st.sampled_from(TICKERS)),
+            "b",
+            draw(st.integers(0, 1)),
+            draw(st.none() | st.lists(values, min_size=dim, max_size=dim)),
+        )
+        for i in range(draw(st.integers(1, 40)))
+    ]
+    if draw(st.booleans()):  # as `attach_embeddings` leaves them: read-only rows of one matrix
+        rows = [t for t in tweets if t.embedding is not None]
+        matrix = np.array([t.embedding for t in rows], dtype=np.float64).reshape(len(rows), dim)
+        matrix.flags.writeable = False
+        for t, row in zip(rows, matrix):
+            t.embedding = row
+    return tweets
+
+
+@settings(max_examples=200, deadline=None)
+@given(embedded_tweets())
+def test_daily_mean_embeddings_are_bit_equal_to_the_loop(tweets):
+    buckets: dict = {}
+    for t in tweets:
+        if t.embedding is not None:
+            buckets.setdefault((t.ticker, CAL.next_business_day(t.calendar_day())), []).append(t.embedding)
+    daily = aggregate_daily_text(tweets, CAL)
+    means = {(f.ticker, f.business_day): f.mean_embedding for f in daily if f.mean_embedding is not None}
+    assert means.keys() == buckets.keys()
+    for key, vectors in buckets.items():
+        assert all(type(v) is float for v in means[key])
+        assert np.array(means[key]).tobytes() == np.array(welford_mean_loop(vectors)).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(tied_values | st.sampled_from([math.nan, math.inf, -0.0]), max_size=25))
+@example([])
+@example([1.5])
+@example([math.nan])
+@example([math.nan, 0.0, math.nan, 0.0])
+def test_average_ranks_match_the_loop(values):
+    assert average_ranks(values).tolist() == average_ranks_loop(values).tolist()
 
 
 @st.composite
