@@ -208,8 +208,20 @@ class TftLite(Module):
         static = self.company_embedding[company]  # (batch, hidden)
         context = static.repeat_rows(steps)  # (batch*steps, hidden), sample-major
 
-        flat_past = Tensor(past.reshape(batch * steps, n_features))
-        combined, _ = self.selector(flat_past, self.var_proj, context, training=training, rng=rng)
+        # Variable selection is row-wise, so overlapping windows share the
+        # result of each repeated (company, day) row.  Dropout masks are
+        # drawn per row, so rows are shared only when none is drawn.
+        flat_past = past.reshape(batch * steps, n_features)
+        shared = None if training and cfg.dropout > 0.0 else _distinct_rows(np.repeat(company, steps), flat_past)
+        if shared is None:
+            combined, _ = self.selector(Tensor(flat_past), self.var_proj, context, training=training, rng=rng)
+        else:
+            first, inverse = shared
+            combined, _ = self.selector(
+                Tensor(flat_past[first]), self.var_proj, self.company_embedding[company[first // steps]],
+                training=training, rng=rng,
+            )
+            combined = combined[inverse]  # backward adds the gradients of repeated rows
 
         sequence = combined.reshape(batch, steps, cfg.hidden_size)
         encoded = self.encoder(sequence)
@@ -226,3 +238,25 @@ class TftLite(Module):
 
         head_input = concat([final, Tensor(known.reshape(batch, cfg.horizon * KNOWN_DIM))], axis=-1)
         return self.head(head_input)
+
+
+def _distinct_rows(row_company: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(first, inverse) over the byte-distinct (company, row) pairs, or None when no pair repeats.
+
+    `rows[first]` holds each distinct pair once, in key order, and
+    `first[inverse]` maps every row to its pair's first occurrence.  Only
+    equal bytes match, so -0.0 and 0.0 stay apart, as do equal rows of two
+    companies.  A wrapping hash with odd multipliers screens out a batch
+    with no repeat before the costlier byte sort: equal bytes give equal
+    hashes, and two keys that differ in one word never collide.
+    """
+    keys = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=np.uint64)
+    keys[:, 0] = row_company
+    keys[:, 1:] = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
+    multipliers = np.arange(1, keys.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
+    hashes = np.sort(keys @ multipliers)
+    if not (hashes[1:] == hashes[:-1]).any():
+        return None
+    row_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
+    return (first, inverse) if len(first) < len(row_bytes) else None

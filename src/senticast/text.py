@@ -185,6 +185,7 @@ def aggregate_daily_text(
     """
     dim: int | None = None
     buckets: dict[tuple[str, date], list[TweetRecord]] = {}
+    pooled_day: dict[date, date] = {}  # calendar day -> the business day its tweets pool onto
     for tweet in tweets:
         if tweet.sentiment not in (0, 1):
             raise ValidationError(f"tweet {tweet.tweet_id}: sentiment label required for aggregation")
@@ -195,7 +196,10 @@ def aggregate_daily_text(
                 raise ValidationError(
                     f"tweet {tweet.tweet_id}: embedding dimension {len(tweet.embedding)} != {dim}"
                 )
-        day = calendar.next_business_day(tweet.calendar_day())
+        posted = tweet.calendar_day()
+        day = pooled_day.get(posted)
+        if day is None:
+            day = pooled_day[posted] = calendar.next_business_day(posted)
         buckets.setdefault((tweet.ticker, day), []).append(tweet)
 
     out = []

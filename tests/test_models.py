@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import INVALID_TRAIN_CASES, INVALID_TRAIN_IDS, causal_mask
+from conftest import INVALID_TRAIN_CASES, INVALID_TRAIN_IDS, causal_mask, vsn_composed
+from gradcheck import gradcheck
+from senticast import models
 from senticast.errors import ConfigError, ShapeError, ValidationError
 from senticast.models import NLinear, TftLite, TrainConfig, naive_seasonal_forecast
 from senticast.nn import Tensor, no_grad
@@ -228,19 +230,134 @@ class TestTftLiteAttention:
 
     def test_no_grad_forward_peak_memory(self):
         # One forecast chunk: 512 HLOVE windows (7,680 rows) under no_grad,
-        # at the benchmark's model size.  27 MiB of traced allocations.
+        # at the benchmark's model size.  With every row distinct, 27 MiB of
+        # traced allocations.  Stride-1 windows over 8 companies share their
+        # rows (624 distinct), so the selector runs on 8% of the rows: about
+        # 10 MiB, and 13 MiB at most.
         cfg = TrainConfig(hidden_size=16, n_heads=4, hidden_continuous_size=8, dropout=0.0)
         rng = np.random.default_rng(0)
         model = TftLite(cfg, n_features=21, n_companies=8, rng=rng)
-        past = rng.normal(size=(512, 15, 21))
+        cases = [
+            (rng.normal(size=(512, 15, 21)), np.arange(512) % 8, 27),
+            (*stride1_windows(rng.normal(size=(8, 78, 21)), 15), 13),
+        ]
         known = np.zeros((512, 3, 6))
-        company = np.arange(512) % 8
-        with no_grad():
-            model.forward_batch(past, known, company)  # first-call allocations stay out of the figure
-            tracemalloc.start()
-            try:
-                model.forward_batch(past, known, company)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak <= 27 * 2**20, f"{peak / 2**20:.2f} MiB"
+        for past, company, bound in cases:
+            with no_grad():
+                model.forward_batch(past, known, company)  # first-call allocations stay out of the figure
+                tracemalloc.start()
+                try:
+                    model.forward_batch(past, known, company)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak <= bound * 2**20, f"{peak / 2**20:.2f} MiB against {bound} MiB"
+
+
+def stride1_windows(series: np.ndarray, lookback: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every stride-1 window over each company's (days, features) rows; neighbours share lookback - 1 rows.
+
+    Returns the (windows, lookback, features) past arrays and each window's company.
+    """
+    n_companies, days, _ = series.shape
+    company = np.repeat(np.arange(n_companies), days - lookback + 1)
+    ends = np.tile(np.arange(lookback - 1, days), n_companies)
+    return series[company[:, None], ends[:, None] + np.arange(1 - lookback, 1)], company
+
+
+def distinct_keys(past: np.ndarray, company: np.ndarray) -> int:
+    """The number of distinct (company, row bytes) pairs over every window step."""
+    steps, features = past.shape[1], past.shape[2]
+    return len(set(zip(np.repeat(company, steps).tolist(), map(bytes, past.reshape(-1, features)))))
+
+
+class Recorder:
+    """Stands in for a block: keeps the array of each first argument, then runs `forward`."""
+
+    def __init__(self, forward):
+        self.forward = forward
+        self.inputs: list[np.ndarray] = []
+
+    def __call__(self, x, *args, **kwargs):
+        self.inputs.append(x.data)
+        return self.forward(x, *args, **kwargs)
+
+    @property
+    def rows(self) -> list[int]:
+        return [len(x) for x in self.inputs]
+
+
+class TestTftLiteRowSharing:
+    """Overlapping windows run variable selection once per distinct (company, row) pair."""
+
+    @staticmethod
+    def shared_rows_batch():
+        # Three companies; company 1 repeats one of company 0's rows, and
+        # company 2 has two rows that differ only in the sign of a zero.
+        rng = np.random.default_rng(41)
+        series = rng.normal(size=(3, 10, 4))
+        series[1, 3] = series[0, 3]
+        series[2, 2, 0] = 0.0
+        series[2, 7] = series[2, 2]
+        series[2, 7, 0] = -0.0
+        past, company = stride1_windows(series, 6)
+        return past, rng.normal(size=(15, 2, 6)), company
+
+    def test_matches_the_per_row_oracle(self, monkeypatch):
+        past, known, company = self.shared_rows_batch()
+        model = TftLite(tiny_config(), n_features=4, n_companies=3, rng=np.random.default_rng(0))
+        distinct = distinct_keys(past, company)
+        assert distinct == 30 < past.shape[0] * past.shape[1]  # each company's 10 days, once each
+        selector, encoder = model.selector, model.encoder
+
+        model.selector, model.encoder = Recorder(selector), Recorder(encoder)
+        shared = model.forward_batch(past, known, company).data
+        assert model.selector.rows == [distinct]
+        shared_rows = model.encoder.inputs[0]
+
+        def per_row(x, projections, context, training=False, rng=None):
+            return vsn_composed(selector, x, projections, context, training=training, rng=rng)
+
+        monkeypatch.setattr(models, "_distinct_rows", lambda *args: None)
+        model.selector, model.encoder = Recorder(per_row), Recorder(encoder)
+        oracle = model.forward_batch(past, known, company).data
+        assert model.selector.rows == [past.shape[0] * past.shape[1]]
+        oracle_rows = model.encoder.inputs[0]
+
+        row_err = np.abs(shared_rows - oracle_rows).max(axis=-1) / np.abs(oracle_rows).max(axis=-1)
+        assert row_err.max() <= 1e-12
+        assert np.max(np.abs(shared - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_all_distinct_rows_are_not_keyed(self):
+        rng = np.random.default_rng(42)
+        assert models._distinct_rows(np.zeros(40, dtype=np.int64), rng.normal(size=(40, 5))) is None
+
+    def test_dropout_training_runs_every_row_with_the_same_bits(self, monkeypatch):
+        past, known, company = self.shared_rows_batch()
+        model = TftLite(tiny_config(dropout=0.25), n_features=4, n_companies=3, rng=np.random.default_rng(0))
+        model.selector = Recorder(model.selector)
+        out = model.forward_batch(past, known, company, training=True, rng=np.random.default_rng(5)).data
+        monkeypatch.setattr(models, "_distinct_rows", lambda *args: None)
+        unshared = model.forward_batch(past, known, company, training=True, rng=np.random.default_rng(5)).data
+        assert model.selector.rows == [past.shape[0] * past.shape[1]] * 2
+        assert np.array_equal(out, unshared)
+
+    def test_gradcheck_through_shared_rows(self):
+        # The gather back to every window step must add the gradients of a
+        # row's repeats; at 1e-4, as the acceptance gradient checks.
+        cfg = TrainConfig(lookback=6, horizon=2, hidden_size=8, n_heads=2, hidden_continuous_size=4, dropout=0.0)
+        rng = np.random.default_rng(43)
+        model = TftLite(cfg, n_features=3, n_companies=3, rng=rng)
+        past, company = stride1_windows(rng.normal(size=(3, 9, 3)), 6)
+        known = rng.normal(size=(12, 2, 6))
+        coeff = Tensor(rng.normal(size=(12, 2)))
+        selector = Recorder(model.selector)
+        model.selector = selector
+        model.forward_batch(past, known, company)
+        model.selector = selector.forward
+        assert selector.rows == [distinct_keys(past, company)] == [27]
+        report = gradcheck(
+            lambda: (model.forward_batch(past, known, company, training=True) * coeff).sum(),
+            model.parameters(), delta=1e-5, tol=1e-4, max_coords_per_param=48,
+        )
+        assert report.passed, report.summary()
