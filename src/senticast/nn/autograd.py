@@ -15,15 +15,16 @@ into that array in place.  Any other tensor takes its first incoming
 array as is and rebinds to a fresh sum at its second; later gradients
 add into that sum in place, so an array that an op handed on is never
 written.  A slice's gradient is added into its input's array at the
-slice, without a full-size array of zeros.  The op set is the minimum the
+slice, without a full-size array of zeros.  Leaves hand nothing on, so
+backward() orders only the ops.  The op set is the minimum the
 forecasting blocks need; six ops fuse a block into one node with a
 numpy backward: `affine` (x @ W + b), `gated_residual` (a gated residual
 network after its transform), `lstm_sequence` (one LSTM layer over a
 whole sequence), `attention` (multi-head scaled dot-product attention
 from the projected inputs to the merged heads), `scalar_embed` (every
-scalar input times its own weight row plus bias) and `mixture` (the
-variable-selection weighted sum, which under no_grad adds each term as
-soon as it is made).
+scalar input times its own weight row plus bias) and `variable_mixture`
+(each variable's GRN and the variable-selection weighted sum, one
+variable at a time, through the GRN arithmetic `gated_residual` uses).
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for child in node._prev:
-                if id(child) not in visited:
+                if child._prev and id(child) not in visited:  # a leaf hands nothing on, so it needs no place
                     stack.append((child, False))
         self.grad = np.ones_like(self.data)
         owned: set[int] = set()  # ids of non-parameters whose gradient array no op was handed
@@ -246,47 +247,13 @@ def gated_residual(a: Tensor, x: Tensor, gate_w: Tensor, gate_b: Tensor, skip_w:
     `shift` is given.  The forward runs that composition's expressions in
     its order, in place: the same bits from fewer live arrays.
     """
+    params = (gate_w, gate_b, skip_w, gain, shift)
     d = gain.shape[-1]
     if gate_w.shape != (a.shape[-1], 2 * d) or (x.shape[-1] if skip_w is None else skip_w.shape[-1]) != d:
         raise ShapeError(f"grn dims: transform {a.shape}, gate {gate_w.shape}, residual {x.shape}, norm {d}")
-    gated = a.data @ gate_w.data
-    gated += gate_b.data
-    u, sig = gated[..., :d], gated[..., d:]
-    sig[...] = _sigmoid(sig)  # the v half now holds sigmoid(v)
-    z = u * sig
-    if mask is not None:
-        z *= mask
-    z += x.data if skip_w is None else x.data @ skip_w.data
-    inv_d = 1.0 / d
-    if shift is not None:
-        z -= z.sum(axis=-1, keepdims=True) * inv_d
-    scale = ((z * z).sum(axis=-1, keepdims=True) * inv_d + NORM_EPS) ** -0.5
-    z *= scale  # z now holds the normed sum
-    out = z * gain.data
-    if shift is not None:
-        out += shift.data
-
-    @_per_grad
-    def core(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of the gate pre-activations (..., 2d) and of the residual sum (..., d)."""
-        dn = grad * gain.data
-        dz = dn - z * ((dn * z).sum(axis=-1, keepdims=True) * inv_d)
-        if shift is not None:
-            dz -= dn.sum(axis=-1, keepdims=True) * inv_d
-        dz *= scale
-        dg = dz if mask is None else dz * mask
-        return np.concatenate([dg * sig, dg * u * sig * (1.0 - sig)], axis=-1), dz
-
-    return _result(
-        out,
-        (a, lambda grad: core(grad)[0] @ gate_w.data.T),
-        (x, lambda grad: core(grad)[1] if skip_w is None else core(grad)[1] @ skip_w.data.T),
-        (gate_w, lambda grad: _flat(a.data).T @ _flat(core(grad)[0])),
-        (gate_b, lambda grad: _flat(core(grad)[0]).sum(axis=0)),
-        (skip_w, lambda grad: _flat(x.data).T @ _flat(core(grad)[1])),
-        (gain, lambda grad: _flat(grad * z).sum(axis=0)),
-        (shift, lambda grad: _flat(grad).sum(axis=0)),
-    )
+    out, saved = _grn_forward(a.data, x.data, _arrays(params), mask)
+    grads = _per_grad(lambda grad: _grn_backward(grad, a.data, x.data, _arrays(params), saved))
+    return _result(out, *((t, lambda grad, j=j: grads(grad)[j]) for j, t in enumerate((a, x) + params)))
 
 
 def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor:
@@ -437,39 +404,51 @@ def scalar_embed(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor])
     )
 
 
-def mixture(weights: Tensor, terms: Iterable[Tensor]) -> Tensor:
-    """Σ_i weights[..., i:i+1] * terms_i, added in order, as one op.
+def variable_mixture(weights: Tensor, embedded: Tensor, grns: Sequence[Sequence[Tensor | None]],
+                     masks: Sequence[np.ndarray | None]) -> Tensor:
+    """Σ_i weights[:, i:i+1] * GRN_i(embedded[:, i, :]), added in order, as one op.
 
-    Gives the bits of the slice, multiply and add chain.  The terms are
-    drawn from the iterable one at a time; with recording off, each is
-    dropped as soon as it is added, so a generator of terms never has more
-    than one alive.
+    grns[i] is (fc1_w, fc1_b, gate_w, gate_b, skip_w, gain, shift), and
+    GRN_i(e) is `gated_residual(silu(e @ fc1_w + fc1_b), e, ...)` with
+    dropout mask masks[i].  Variables run one at a time through the
+    expressions of that composition and of the slice, multiply and add
+    chain, so the forward gives their bits; under no_grad nothing of a
+    variable is kept.  One backward pass yields the weights' gradient, the
+    whole embedded gradient and one gradient per GRN parameter.
     """
-    w = weights.data
-    out = None
-    kept: list[Tensor] = []
-    count = 0
-    for term in terms:
-        if count == w.shape[-1]:
-            raise ShapeError(f"mixture has {w.shape[-1]} weights but more terms")
-        part = w[..., count : count + 1] * term.data
-        if out is None:
-            out = part
-        else:
-            out += part
+    w, e = weights.data, embedded.data
+    n = e.shape[1] if e.ndim == 3 else -1
+    if w.shape != e.shape[:2] or len(grns) != n or len(masks) != n:
+        raise ShapeError(f"mixture of {w.shape} weights, {e.shape} inputs, {len(grns)} grns, {len(masks)} masks")
+    out, kept = None, []
+    for i, (grn, mask) in enumerate(zip(grns, masks)):
+        fc1_w, fc1_b, *rest = _arrays(grn)
+        pre = e[:, i, :] @ fc1_w
+        pre += fc1_b
+        term, saved = _grn_forward(pre * _sigmoid(pre), e[:, i, :], rest, mask)
+        part = w[:, i : i + 1] * term
+        out = part if out is None else np.add(out, part, out=out)
         if _recording:
-            kept.append(term)
-        count += 1
-        del term, part  # the next term is made with this one gone
-    if count != w.shape[-1]:
-        raise ShapeError(f"mixture has {w.shape[-1]} weights but {count} terms")
+            kept.append((pre, saved))
+        del pre, term, part, saved  # the next variable is made with this one's arrays gone
 
-    def weights_grad(grad: np.ndarray) -> np.ndarray:
-        return np.concatenate([(grad * term.data).sum(axis=-1, keepdims=True) for term in kept], axis=-1)
+    @_per_grad
+    def grads(grad: np.ndarray) -> tuple:
+        """Gradients of the weights, of embedded, and of each GRN's seven parameters."""
+        d_w, d_e, d_grns = np.empty_like(w), np.empty_like(e), []
+        for i, (grn, (pre, saved)) in enumerate(zip(grns, kept)):
+            fc1_w, _, *rest = _arrays(grn)
+            sig = _sigmoid(pre)  # made again rather than kept for every variable
+            term = saved[1] * rest[3] if rest[4] is None else saved[1] * rest[3] + rest[4]  # the GRN's output
+            d_w[:, i] = (grad * term).sum(axis=-1)
+            da, dx, *d_rest = _grn_backward(grad * w[:, i : i + 1], pre * sig, e[:, i, :], rest, saved)
+            d_pre = da * (sig + pre * sig * (1.0 - sig))
+            d_e[:, i, :] = d_pre @ fc1_w.T + dx
+            d_grns.append((_flat(e[:, i, :]).T @ _flat(d_pre), _flat(d_pre).sum(axis=0), *d_rest))
+        return d_w, d_e, d_grns
 
-    return _result(
-        out, (weights, weights_grad), *((term, lambda grad, i=i: grad * w[..., i : i + 1]) for i, term in enumerate(kept))
-    )
+    edges = ((p, lambda grad, i=i, j=j: grads(grad)[2][i][j]) for i, grn in enumerate(grns) for j, p in enumerate(grn))
+    return _result(out, (weights, lambda grad: grads(grad)[0]), (embedded, lambda grad: grads(grad)[1]), *edges)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -487,6 +466,55 @@ def _is_basic(index) -> bool:
     """True for an int, slice, Ellipsis or None, alone or in a tuple."""
     parts = index if isinstance(index, tuple) else (index,)
     return all(isinstance(part, _BASIC_INDEX) for part in parts)
+
+
+def _arrays(tensors: Iterable[Tensor | None]) -> list[np.ndarray | None]:
+    return [None if t is None else t.data for t in tensors]
+
+
+def _grn_forward(a: np.ndarray, x: np.ndarray, params: Sequence, mask: np.ndarray | None) -> tuple[np.ndarray, tuple]:
+    """`gated_residual`'s forward on arrays, params (gate_w, gate_b, skip_w, gain, shift): out, what backward reads."""
+    gate_w, gate_b, skip_w, gain, shift = params
+    d = gain.shape[-1]
+    gated = a @ gate_w
+    gated += gate_b
+    gated[..., d:] = _sigmoid(gated[..., d:])  # the v half now holds sigmoid(v)
+    z = gated[..., :d] * gated[..., d:]
+    if mask is not None:
+        z *= mask
+    z += x if skip_w is None else x @ skip_w
+    if shift is not None:
+        z -= z.sum(axis=-1, keepdims=True) * (1.0 / d)
+    scale = ((z * z).sum(axis=-1, keepdims=True) * (1.0 / d) + NORM_EPS) ** -0.5
+    z *= scale  # z now holds the normed sum
+    out = z * gain
+    if shift is not None:
+        out += shift
+    return out, (gated, z, scale, mask)
+
+
+def _grn_backward(grad: np.ndarray, a: np.ndarray, x: np.ndarray, params: Sequence, saved: tuple) -> tuple:
+    """Gradients of `gated_residual`'s inputs, in its order: a, x, gate_w, gate_b, skip_w, gain, shift."""
+    gate_w, _, skip_w, gain, shift = params
+    gated, z, scale, mask = saved
+    d = gain.shape[-1]
+    u, sig = gated[..., :d], gated[..., d:]
+    dn = grad * gain
+    dz = dn - z * ((dn * z).sum(axis=-1, keepdims=True) * (1.0 / d))
+    if shift is not None:
+        dz -= dn.sum(axis=-1, keepdims=True) * (1.0 / d)
+    dz *= scale
+    dg = dz if mask is None else dz * mask
+    d_gated = np.concatenate([dg * sig, dg * u * sig * (1.0 - sig)], axis=-1)
+    return (
+        d_gated @ gate_w.T,
+        dz if skip_w is None else dz @ skip_w.T,
+        _flat(a).T @ _flat(d_gated),
+        _flat(d_gated).sum(axis=0),
+        None if skip_w is None else _flat(x).T @ _flat(dz),
+        _flat(grad * z).sum(axis=0),
+        None if shift is None else _flat(grad).sum(axis=0),
+    )
 
 
 def _per_grad(fn: Callable) -> Callable:

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .autograd import Tensor, attention, gated_residual, lstm_sequence, mixture, scalar_embed
+from .autograd import Tensor, attention, gated_residual, lstm_sequence, scalar_embed, variable_mixture
 from .layers import Linear, Module, SwigluFF, dropout_mask, make_norm
 
 
@@ -76,8 +76,15 @@ class GatedResidualNetwork(Module):
         if training and self.dropout_rate > 0.0 and rng is None:
             raise ConfigError("training-mode GRN needs a dropout rng")
         mask = dropout_mask(a.shape[:-1] + (self.d_out,), self.dropout_rate, rng) if training else None
+        return gated_residual(a, x, *self.op_params()[2:], mask)
+
+    def op_params(self) -> tuple:
+        """(fc1_w, fc1_b, gate_w, gate_b, skip_w, gain, shift): one GRN of `variable_mixture`.
+
+        The last five are what `gated_residual` takes."""
+        fc1 = (None, None) if self.fc1 is None else (self.fc1.weight, self.fc1.bias)
         skip_w = self.skip.weight if self.skip is not None else None
-        return gated_residual(a, x, self.gate.weight, self.gate.bias, skip_w, self.norm.gain, self.norm.shift, mask)
+        return (*fc1, self.gate.weight, self.gate.bias, skip_w, self.norm.gain, self.norm.shift)
 
 
 class LstmCell(Module):
@@ -141,9 +148,11 @@ class VariableSelection(Module):
     Each of the n_vars scalar inputs is embedded by its own Linear(1, d_var)
     map, all in one op; the selection weights come from a GRN over the
     concatenated embeddings, optionally conditioned on a static context
-    (TFT's variable selection, Lim et al. 2021, section 4.2).  The mixture
-    is one op that, under no_grad, adds each variable's GRN output as soon
-    as it is made.
+    (TFT's variable selection, Lim et al. 2021, section 4.2).  The
+    per-variable GRNs and their weighted sum are one op, which runs one
+    variable at a time and, under no_grad, keeps nothing of a variable
+    once its term is added.  Dropout masks are drawn for the flat GRN
+    first, then for each variable in order.
     """
 
     def __init__(
@@ -196,5 +205,5 @@ class VariableSelection(Module):
         rows, _, d_var = embedded.shape
         logits = self.flat_grn(embedded.reshape(rows, self.n_vars * d_var), context, training=training, rng=rng)
         weights = logits.softmax(axis=-1)
-        terms = (grn(embedded[:, i, :], training=training, rng=rng) for i, grn in enumerate(self.var_grns))
-        return mixture(weights, terms), weights
+        masks = [dropout_mask((rows, g.d_out), g.dropout_rate, rng) if training else None for g in self.var_grns]
+        return variable_mixture(weights, embedded, [g.op_params() for g in self.var_grns], masks), weights

@@ -85,6 +85,7 @@ def train_model(
             arena.grads.fill(0.0)
             loss_t.backward()
             adam_step(arena, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+            del pred, loss_t  # the next step's graph is built with none of this one alive
             epoch_loss += value * len(batch_idx)
         curve.append(epoch_loss / total)
     return model, curve

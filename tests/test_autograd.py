@@ -23,6 +23,27 @@ def test_diamond_graph_accumulates_both_paths():
     assert y.grad.tolist() == [3.0]
 
 
+def test_parameter_outside_an_arena_gets_its_own_gradient_array():
+    # add hands one array to both of its inputs; each parameter copies it.
+    x = Parameter(np.ones(3), "x")
+    y = Parameter(np.ones(3), "y")
+    ((x + y) * Tensor(np.arange(3.0))).sum().backward()
+    assert not np.shares_memory(x.grad, y.grad)
+    x.grad += 1.0
+    assert y.grad.tolist() == [0.0, 1.0, 2.0]
+
+
+def test_packed_parameter_used_twice_sums_into_its_arena_view():
+    x = Parameter(np.asarray([3.0]), "x")
+    y = Parameter(np.asarray([4.0]), "y")
+    arena = ParamArena([x, y])
+    arena.grads.fill(0.0)
+    view = x.grad
+    (x * y + x).sum().backward()
+    assert x.grad is view and x.grad.tolist() == [5.0]
+    assert arena.grads.tolist() == [5.0, 3.0]
+
+
 def test_each_op_visited_once_in_reverse():
     # Reusing one node in two places must not double-run its backward.
     x = Parameter(np.asarray([2.0]), "x")

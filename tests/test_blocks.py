@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ from senticast.nn import (
     dropout_mask,
     zero_grads,
 )
-from senticast.nn.autograd import attention, gated_residual, mixture, no_grad, scalar_embed
+from senticast.nn.autograd import attention, gated_residual, no_grad, scalar_embed, variable_mixture
 from senticast.nn.layers import LayerNorm, Linear
 
 
@@ -608,7 +608,7 @@ class TestVariableSelection:
         assert np.array_equal(quiet_weights.data, weights.data)
 
 
-class TestScalarEmbedAndMixture:
+class TestScalarEmbed:
     def test_embed_matches_per_column_linear_bits(self):
         rng = np.random.default_rng(25)
         x, projections = vsn_inputs(rng, 7, 5, 40)
@@ -627,37 +627,107 @@ class TestScalarEmbedAndMixture:
         )
         assert report.passed, report.summary()
 
-    def test_mixture_gradcheck(self):
-        rng = np.random.default_rng(27)
-        weights = Parameter(rng.normal(size=(4, 3)), "w")
-        terms = [Parameter(rng.normal(size=(4, 5)), f"t{i}") for i in range(3)]
-        coeff = Tensor(rng.normal(size=(4, 5)))
-        report = gradcheck(lambda: (mixture(weights, terms) * coeff).sum(), [weights] + terms)
+
+# One variable selection per setting of the fused mixture: (norm, residual, mode).
+MIXTURE_SETTINGS = [
+    (norm, residual, mode) for norm in GRN_NORMS for residual in GRN_RESIDUALS for mode in ("eval", "training")
+]
+MIXTURE_IDS = ["-".join(case) for case in MIXTURE_SETTINGS]
+
+
+def mixture_case(norm, residual, seed=0, n_vars=3, rows=6, dropout=0.25):
+    """A variable selection whose per-variable GRNs have the given norm and residual, and its inputs.
+
+    An identity residual needs the embedding as wide as the hidden size;
+    a skip projection, a narrower one.
+    """
+    rng = np.random.default_rng(seed)
+    d_var = 4 if residual == "identity" else 3
+    vsn = VariableSelection(n_vars, d_var, 4, "vsn", rng, d_context=4, dropout_rate=dropout, norm_type=norm)
+    x, projections = vsn_inputs(rng, n_vars, d_var, rows)
+    ctx = Parameter(rng.normal(size=(rows, 4)), "ctx")
+    return vsn, x, projections, ctx
+
+
+class TestVariableMixture:
+    @pytest.mark.parametrize("setting", MIXTURE_SETTINGS, ids=MIXTURE_IDS)
+    def test_matches_composition(self, setting):
+        norm, residual, mode = setting
+        vsn, x, projections, ctx = mixture_case(norm, residual, seed=70)
+        training = mode == "training"
+        params = [x, ctx] + [p for proj in projections for p in proj.parameters()] + vsn.parameters()
+        coeff = Tensor(np.random.default_rng(71).normal(size=(6, 4)))
+        outputs, grads, states = [], [], []
+        for forward in (vsn, lambda *a, **k: vsn_composed(vsn, *a, **k)):
+            rng = np.random.default_rng(72)
+            combined, _ = forward(x, projections, ctx, training=training, rng=rng)
+            outputs.append(combined.data)
+            states.append(rng.bit_generator.state)
+            zero_grads(params)
+            (combined * coeff).sum().backward()
+            grads.append([p.grad for p in params])
+        assert np.max(np.abs(outputs[0] - outputs[1])) <= 1e-12 * np.max(np.abs(outputs[1]))
+        assert states[0] == states[1]  # the same draws, in the same order
+        for p, fused, composed in zip(params, *grads):
+            assert np.max(np.abs(fused - composed)) <= 1e-12 * np.max(np.abs(composed)), p.name
+
+    @pytest.mark.parametrize("norm", GRN_NORMS)
+    @pytest.mark.parametrize("residual", GRN_RESIDUALS)
+    def test_gradcheck(self, norm, residual):
+        vsn, _, _, _ = mixture_case(norm, residual, seed=75, dropout=0.0)
+        rng = np.random.default_rng(76)
+        d_var = vsn.var_grns[0].d_in
+        weights = Parameter(rng.normal(size=(5, 3)), "weights")
+        embedded = Parameter(rng.normal(size=(5, 3, d_var)), "embedded")
+        masks = [None, dropout_mask((5, 4), 0.3, rng), None]
+        coeff = Tensor(rng.normal(size=(5, 4)))
+        grns = [g.op_params() for g in vsn.var_grns]
+        params = [weights, embedded] + [p for g in vsn.var_grns for p in g.parameters()]
+        report = gradcheck(lambda: (variable_mixture(weights, embedded, grns, masks) * coeff).sum(), params, tol=1e-4)
         assert report.passed, report.summary()
 
-    def test_mixture_counts_terms(self):
-        weights = Tensor(np.ones((2, 3)))
+    def test_one_node_with_an_edge_per_input(self):
+        vsn, _, _, _ = mixture_case("layernorm", "skip", seed=77)
+        weights = Parameter(np.ones((2, 3)), "weights")
+        embedded = Parameter(np.ones((2, 3, 3)), "embedded")
+        out = variable_mixture(weights, embedded, [g.op_params() for g in vsn.var_grns], [None] * 3)
+        expected = [weights, embedded] + [p for g in vsn.var_grns for p in g.parameters()]
+        assert len(out._prev) == len(expected) and all(a is b for a, b in zip(out._prev, expected))
+
+    def test_counts_checked(self):
+        vsn, _, _, _ = mixture_case("rmsnorm", "skip", seed=78)
+        grns = [g.op_params() for g in vsn.var_grns]
+        embedded = Tensor(np.ones((2, 3, 3)))
         with pytest.raises(ShapeError):
-            mixture(weights, [Tensor(np.ones((2, 4)))] * 2)
+            variable_mixture(Tensor(np.ones((2, 3))), embedded, grns[:2], [None] * 3)
         with pytest.raises(ShapeError):
-            mixture(weights, [Tensor(np.ones((2, 4)))] * 4)
+            variable_mixture(Tensor(np.ones((2, 3))), embedded, grns, [None] * 4)
+        with pytest.raises(ShapeError):
+            variable_mixture(Tensor(np.ones((2, 4))), embedded, grns, [None] * 3)
+        with pytest.raises(ShapeError):
+            variable_mixture(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 9))), grns, [None] * 3)
 
-    def test_mixture_under_no_grad_holds_one_term(self):
-        refs, alive = [], []
-
-        class Probe(Tensor):
-            __slots__ = ("__weakref__",)
-
-        def make(i):
-            alive.append(sum(ref() is not None for ref in refs))
-            term = Probe(np.full((2, 3), float(i)))
-            refs.append(weakref.ref(term))
-            return term
-
-        with no_grad():
-            out = mixture(Tensor(np.ones((2, 4))), (make(i) for i in range(4)))
-        assert np.array_equal(out.data, np.full((2, 3), 6.0))
-        assert alive == [0, 0, 0, 0]
+    def test_under_no_grad_holds_no_per_variable_array(self):
+        # Each variable makes several (rows, hidden) arrays; with nothing
+        # kept, sixteen variables peak where two do, within one such array.
+        rows, hidden = 4096, 8
+        peaks = []
+        for n_vars in (2, 16):
+            rng = np.random.default_rng(79)
+            vsn = VariableSelection(n_vars, 4, hidden, "vsn", rng)
+            grns = [g.op_params() for g in vsn.var_grns]
+            weights = Parameter(rng.random((rows, n_vars)), "weights")
+            embedded = Parameter(rng.normal(size=(rows, n_vars, 4)), "embedded")
+            with no_grad():
+                variable_mixture(weights, embedded, grns, [None] * n_vars)
+                tracemalloc.start()
+                try:
+                    out = variable_mixture(weights, embedded, grns, [None] * n_vars)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert not out.requires_grad and out._prev == ()
+        assert peaks[1] <= peaks[0] + rows * hidden * 8, peaks
 
 
 class TestAdam:
