@@ -152,7 +152,7 @@ def cmd_features(config: RunConfig, artifacts: Artifacts) -> None:
         panel = text.align_panel(prices, features, calendar, config.smoothing_span)
         text.write_panel_csv(artifacts.panel(ticker), panel)
         _write_daily_text(artifacts.daily_text(ticker), features, embedding_dim)
-        panel_rows[ticker] = len(panel.rows)
+        panel_rows[ticker] = len(panel)
 
     meta = {
         "tickers": config.tickers,
@@ -211,11 +211,12 @@ def cmd_analyze(config: RunConfig, artifacts: Artifacts) -> None:
         closes = panel.column("close")
         returns, sigma = market.daily_returns_sigma(closes)
         sigmas[ticker] = {"sigma": sigma, "sum_squares": sigma * sigma}
-        for day, value in zip(panel.column("day")[1:], returns):
+        for day, value in zip(panel.days[1:], returns):
             return_rows.append([ticker, day.isoformat(), repr(value)])
 
         volume = panel.column("volume")
-        base = {"close": closes, "volume": volume, "volatility": market.atr(panel.rows, config.atr_period)}
+        volatility = market.atr(panel.column("high"), panel.column("low"), closes, config.atr_period)
+        base = {"close": closes, "volume": volume, "volatility": volatility}
         smoothed = analysis.correlation_table(
             {
                 **base,
@@ -299,20 +300,18 @@ def cmd_predict(config: RunConfig, artifacts: Artifacts) -> None:
     if not test:
         raise ValidationError("no test windows; was the model trained with split=1.0?")
     predictions = predict_windows(model, test)
-    close_by_day = {
-        panel.ticker: {row.day: row.close for row in panel.rows} for panel in panels
-    }
+    # Raw closes in the windows' row order: the panels stacked end to end.
+    closes = np.concatenate([panel.values[:, text.PANEL_VALUES.index("close")] for panel in panels])
+    truths, anchors = closes[test.ahead].tolist(), closes[test.ends].tolist()
     tickers = checkpoint.normalizer.tickers
     pred = checkpoint.normalizer.denormalize_close(test.company, predictions)
-    anchor_days, target_days = test.anchor_day, test.target_days
+    target_days = test.target_days
 
     model_rows, naive_rows = [], []
     for i, company in enumerate(test.company.tolist()):
         ticker = tickers[company]
-        closes = close_by_day[ticker]
-        naive = naive_seasonal_forecast([closes[anchor_days[i]]], target_days.shape[1])
-        for step, day in enumerate(target_days[i], start=1):
-            truth = closes[day]
+        naive = naive_seasonal_forecast([anchors[i]], test.horizon)
+        for step, (day, truth) in enumerate(zip(target_days[i], truths[i]), start=1):
             model_rows.append(
                 [day.isoformat(), ticker, str(step), repr(truth), repr(float(pred[i, step - 1]))]
             )
@@ -429,10 +428,12 @@ def cmd_report(config: RunConfig, artifacts: Artifacts) -> None:
 
     price_rows, vol_rows = [], []
     for panel in panels:
-        closes = market.min_max_scale(panel.column("close"))
+        closes = panel.column("close")
+        volatility = market.atr(panel.column("high"), panel.column("low"), closes, config.atr_period)
         scores = market.min_max_scale(panel.column("score"))
-        volatility = market.min_max_scale(market.atr(panel.rows, config.atr_period))
-        for day, close_s, score_s, vol_s in zip(panel.column("day"), closes, scores, volatility):
+        for day, close_s, score_s, vol_s in zip(
+            panel.days, market.min_max_scale(closes), scores, market.min_max_scale(volatility)
+        ):
             price_rows.append([panel.ticker, day.isoformat(), repr(close_s), repr(score_s)])
             vol_rows.append([panel.ticker, day.isoformat(), repr(vol_s), repr(score_s)])
     write_csv(

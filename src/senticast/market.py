@@ -161,8 +161,8 @@ def smooth(series: Sequence[float], method: str, span: int) -> list[float]:
     raise ValidationError(f"unknown smoothing method {method!r}")
 
 
-def atr(bars: Sequence, n: int) -> list[float]:
-    """Average True Range with Wilder smoothing over bars with `high`, `low` and `close`.
+def atr(high: Sequence[float], low: Sequence[float], close: Sequence[float], n: int) -> list[float]:
+    """Average True Range with Wilder smoothing over equal-length high, low and close columns.
 
     ATR_1 is the first bar's high-low range (no previous close exists);
     afterwards ATR_t = ((n-1)/n) * ATR_{t-1} + (1/n) * TR_t, where
@@ -170,14 +170,16 @@ def atr(bars: Sequence, n: int) -> list[float]:
     """
     if n < 1:
         raise ValidationError(f"atr period must be >= 1, got {n}")
-    if not bars:
+    if not len(high):
         raise ValidationError("atr requires at least one bar")
+    if not len(high) == len(low) == len(close):
+        raise ValidationError(f"atr columns differ in length: {len(high)}, {len(low)}, {len(close)}")
     decay = (n - 1.0) / n
     gain = 1.0 / n
-    out = [bars[0].high - bars[0].low]
-    for prev, bar in zip(bars, bars[1:]):
-        c = prev.close  # TR by conditionals that pick what max() and min() pick, without the two calls
-        out.append(out[-1] * decay + ((c if c > bar.high else bar.high) - (c if c < bar.low else bar.low)) * gain)
+    out = [high[0] - low[0]]
+    for c, h, lo in zip(close, high[1:], low[1:]):
+        # TR by conditionals that pick what max() and min() pick, without the two calls
+        out.append(out[-1] * decay + ((c if c > h else h) - (c if c < lo else lo)) * gain)
     return out
 
 

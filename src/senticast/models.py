@@ -223,8 +223,8 @@ class TftLite(Module):
             )
             combined = combined[inverse]  # backward adds the gradients of repeated rows
 
-        sequence = combined.reshape(batch, steps, cfg.hidden_size)
-        encoded = self.encoder(sequence)
+        encoded = self.encoder(combined.reshape(batch, steps, cfg.hidden_size))
+        del combined  # under no_grad, nothing else holds the selector's output
 
         enriched = self.enrichment(
             encoded.reshape(batch * steps, cfg.hidden_size), context, training=training, rng=rng

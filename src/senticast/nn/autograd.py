@@ -272,9 +272,11 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor
     if x.ndim != 3 or wx.shape != (x.shape[-1], 4 * hd) or wh.shape != (hd, 4 * hd) or bias.shape != (4 * hd,):
         raise ShapeError(f"lstm layer dims: input {x.shape}, w_x {wx.shape}, bias {bias.shape}, w_h {wh.shape}")
     batch, steps, _ = x.shape
-    gates = x @ wx + bias.data  # each step's slice is overwritten by its activated gates
-    tanh_c = np.empty((batch, steps, hd))
-    cells = np.empty((batch, steps, hd))
+    gates = x @ wx  # each step's slice is overwritten by its activated gates
+    gates += bias.data
+    # Only the backward reads the cell states and their tanh.
+    cells = np.empty((batch, steps, hd)) if _recording else None
+    tanh_c = np.empty((batch, steps, hd)) if _recording else None
     out = np.empty((batch, steps, hd))
     h = np.zeros((batch, hd))
     c = np.zeros((batch, hd))
@@ -284,9 +286,11 @@ def lstm_sequence(seq: Tensor, w_x: Tensor, bias: Tensor, w_h: Tensor) -> Tensor
         gate[...] = _sigmoid(z)
         gate[:, 2 * hd : 3 * hd] = np.tanh(z[:, 2 * hd : 3 * hd])
         c = gate[:, hd : 2 * hd] * c + gate[:, :hd] * gate[:, 2 * hd : 3 * hd]
-        cells[:, t] = c
-        tanh_c[:, t] = np.tanh(c)
-        h = gate[:, 3 * hd :] * tanh_c[:, t]
+        squashed = np.tanh(c)
+        if cells is not None:
+            cells[:, t] = c
+            tanh_c[:, t] = squashed
+        h = gate[:, 3 * hd :] * squashed
         out[:, t] = h
 
     @_per_grad
@@ -601,6 +605,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; max(e, x >= 0) is 1 for x >= 0, else e (NaN stays NaN).
-    e = np.exp(-np.abs(x))
-    denom = 1.0 + e
-    return np.maximum(e, x >= 0) / denom
+    # Each step writes over the temporary it reads; a 0-d input's abs is a scalar, made an array to be written.
+    e = np.asarray(np.abs(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out

@@ -12,6 +12,7 @@ import io
 import math
 import re
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
@@ -30,6 +31,7 @@ _NON_ALNUM_RE = re.compile(r"[^A-Za-z0-9\s]+")
 _WS_RE = re.compile(r"\s+")
 
 PANEL_HEADER = ("date", "high", "low", "open", "volume", "close", "score", "score_raw", "holiday", "dow")
+PANEL_VALUES = PANEL_HEADER[1:8]  # the float columns of AlignedPanel.values ahead of the embedding
 
 
 @dataclass
@@ -72,14 +74,63 @@ class PanelRow:
     day_of_week: int
 
 
-@dataclass
 class AlignedPanel:
-    ticker: str
-    rows: list[PanelRow]
-    embedding_dim: int = 0
+    """One ticker's gap-free panel, held as columns.
 
-    def column(self, name: str) -> list:
-        return [getattr(row, name) for row in self.rows]
+    `days` lists its business days in order.  `values` is one read-only
+    (T, 7 + embedding_dim) float64 matrix: the PANEL_VALUES columns high,
+    low, open, volume, close, score (the EWMA of score_raw) and score_raw
+    (the carried daily score2), then e0.. (the carried mean embedding).
+    `calendar` is a read-only (T, 2) int64 array of the holiday flag and
+    the day of the week.
+
+    `AlignedPanel(ticker, rows, embedding_dim)` builds the columns from
+    PanelRow objects, and `rows` makes such objects again on each read.
+    """
+
+    def __init__(self, ticker: str, rows: Sequence[PanelRow] = (), embedding_dim: int = 0) -> None:
+        values = []
+        for row in rows:
+            values.append([row.high, row.low, row.open, row.volume, row.close, row.score, row.score_raw])
+            if embedding_dim:
+                if row.embedding is None or len(row.embedding) != embedding_dim:
+                    raise ValidationError(f"{ticker}: row {row.day} lacks a {embedding_dim}-value embedding")
+                values[-1].extend(row.embedding)
+        self.ticker = ticker
+        self.days = [row.day for row in rows]
+        width = len(PANEL_VALUES) + embedding_dim
+        self.values = _read_only(np.array(values, dtype=np.float64).reshape(len(rows), width))
+        self.calendar = _read_only(np.array([(r.holiday, r.day_of_week) for r in rows], dtype=np.int64).reshape(-1, 2))
+
+    @classmethod
+    def from_columns(cls, ticker: str, days: list[date], values: np.ndarray, calendar: np.ndarray) -> "AlignedPanel":
+        panel = cls.__new__(cls)
+        panel.ticker, panel.days, panel.values, panel.calendar = ticker, days, _read_only(values), _read_only(calendar)
+        return panel
+
+    def __len__(self) -> int:
+        return len(self.days)
+
+    @property
+    def embedding_dim(self) -> int:
+        return self.values.shape[1] - len(PANEL_VALUES)
+
+    @property
+    def rows(self) -> list[PanelRow]:
+        dim = self.embedding_dim
+        return [
+            PanelRow(day, *values[: len(PANEL_VALUES)], values[len(PANEL_VALUES) :] if dim else None, *flags)
+            for day, values, flags in zip(self.days, self.values.tolist(), self.calendar.tolist())
+        ]
+
+    def column(self, name: str) -> list[float]:
+        """One of the PANEL_VALUES columns as Python floats."""
+        return self.values[:, PANEL_VALUES.index(name)].tolist()
+
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
 
 
 def clean_tweet(body: str) -> str:
@@ -250,10 +301,12 @@ def align_panel(
 ) -> AlignedPanel:
     """Join one ticker's prices and daily text features on the trading calendar.
 
-    The covered range is the intersection of both date spans.  Days with no
-    tweets carry the previous day's score and embedding forward; leading
-    gaps backfill from the first observed day.  The score column is the
-    EWMA of the filled raw score.
+    Each row carries the score, and the embedding, of the latest text day
+    on or before it, which may lie before the first bar; nothing is ever
+    filled from a later day.  So the panel starts at the first bar day
+    that has a score on or before it (and an embedding, if any text day
+    has one), and it ends at the last day that both spans cover.  The
+    score column is the EWMA of the carried raw score.
     """
     if smoothing_span < 1:
         raise ValidationError(f"smoothing_span must be >= 1, got {smoothing_span}")
@@ -263,42 +316,47 @@ def align_panel(
     if mismatched:
         raise AlignmentError(f"text features for {sorted(mismatched)} joined against {prices.ticker}")
 
-    start = max(prices.bars[0].date, min(f.business_day for f in text))
-    end = min(prices.bars[-1].date, max(f.business_day for f in text))
+    text_by_day = {f.business_day: f for f in text}
+    text_days = sorted(text_by_day)
+    embedded_days = [d for d in text_days if text_by_day[d].mean_embedding is not None]
+    start = max(prices.bars[0].date, text_days[0])
+    end = min(prices.bars[-1].date, text_days[-1])
     if start > end:
         raise AlignmentError(f"{prices.ticker}: price and text date ranges do not overlap")
-
+    if embedded_days:
+        start = max(start, embedded_days[0])
     days = calendar.days_between(start, end)
-    bars_by_day = {bar.date: bar for bar in prices.bars}
-    text_by_day = {f.business_day: f for f in text}
-    dim = next((len(f.mean_embedding) for f in text if f.mean_embedding is not None), 0)
-
-    observed = [text_by_day[d] for d in days if d in text_by_day]
-    if not observed:
+    if not days:
+        raise AlignmentError(f"{prices.ticker}: aligned panel is empty: no business day from {start} to {end}")
+    if not any(d in text_by_day for d in days):
         raise AlignmentError(f"{prices.ticker}: no text features inside the aligned range")
-    score = observed[0].score2
-    embedding = next((f.mean_embedding for f in observed if f.mean_embedding is not None), None)
-    raw_scores: list[float] = []
-    embeddings: list[list[float] | None] = []
+
+    # The carry starts from the latest text day on or before the first row.
+    score = text_by_day[text_days[bisect_right(text_days, days[0]) - 1]].score2
+    embedding = []
+    if embedded_days:
+        embedding = text_by_day[embedded_days[bisect_right(embedded_days, days[0]) - 1]].mean_embedding
+    bars_by_day = {bar.date: bar for bar in prices.bars}
+    bars, raw_scores, embeddings = [], [], []
     for d in days:
+        bar = bars_by_day.get(d)
+        if bar is None:
+            raise AlignmentError(f"{prices.ticker}: missing price bar on business day {d.isoformat()}")
         feats = text_by_day.get(d)
         if feats is not None:
             score = feats.score2
             if feats.mean_embedding is not None:
                 embedding = feats.mean_embedding
+        bars.append((bar.high, bar.low, bar.open, bar.volume, bar.close))
         raw_scores.append(score)
-        embeddings.append(None if embedding is None else list(embedding))
-
-    rows = []
-    for d, score, raw, embedding in zip(days, smooth(raw_scores, "ewma", smoothing_span), raw_scores, embeddings):
-        bar = bars_by_day.get(d)
-        if bar is None:
-            raise AlignmentError(f"{prices.ticker}: missing price bar on business day {d.isoformat()}")
-        holiday = int(calendar.follows_holiday(d))
-        rows.append(
-            PanelRow(d, bar.high, bar.low, bar.open, bar.volume, bar.close, score, raw, embedding, holiday, d.weekday())
-        )
-    return AlignedPanel(ticker=prices.ticker, rows=rows, embedding_dim=dim)
+        embeddings.append(embedding)
+    values = np.empty((len(days), len(PANEL_VALUES) + len(embedding)))
+    values[:, :5] = bars
+    values[:, 5] = smooth(raw_scores, "ewma", smoothing_span)
+    values[:, 6] = raw_scores
+    values[:, len(PANEL_VALUES) :] = embeddings
+    flags = np.array([(int(calendar.follows_holiday(d)), d.weekday()) for d in days], dtype=np.int64)
+    return AlignedPanel.from_columns(prices.ticker, days, values, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +420,7 @@ def load_embeddings_csv(path: Path | str) -> dict[str, np.ndarray]:
             raise ValidationError(f"{path}:{lineno}: non-finite embedding value")
         ids[row[0]] = None
         values.extend(vector)
-    matrix = np.frombuffer(values, dtype=np.float64).reshape(-1, len(header) - 1)
-    matrix.flags.writeable = False
-    return dict(zip(ids, matrix))
+    return dict(zip(ids, _read_only(np.frombuffer(values, dtype=np.float64).reshape(-1, len(header) - 1))))
 
 
 def attach_embeddings(tweets: Sequence[TweetRecord], vectors: dict[str, np.ndarray]) -> None:
@@ -379,31 +435,36 @@ def write_panel_csv(path: Path | str, panel: AlignedPanel) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow([*PANEL_HEADER, *(f"e{i}" for i in range(panel.embedding_dim))])
-    for row in panel.rows:
-        values = [row.high, row.low, row.open, row.volume, row.close, row.score, row.score_raw]
-        record = [row.day.isoformat(), *(repr(float(v)) for v in values)]
-        record += [str(row.holiday), str(row.day_of_week)]
-        if panel.embedding_dim:
-            vec = row.embedding if row.embedding is not None else [0.0] * panel.embedding_dim
-            record += [repr(float(v)) for v in vec]
-        writer.writerow(record)
+    for day, values, flags in zip(panel.days, panel.values.tolist(), panel.calendar.tolist()):
+        floats = list(map(repr, values))
+        writer.writerow([day.isoformat(), *floats[: len(PANEL_VALUES)], *map(str, flags), *floats[len(PANEL_VALUES) :]])
     write_atomic(path, buffer.getvalue())
 
 
 def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
+    """Read a `write_panel_csv` file into columns in one pass.
+
+    A row's fields are checked in this order, and the first fault names
+    its file line: high..score_raw, the embedding, the date, holiday, dow.
+    """
     path = Path(path)
-    panel_rows = []
     rows = read_csv(path)
     _, header = next(rows)
     if tuple(header[: len(PANEL_HEADER)]) != PANEL_HEADER:
         raise ParseError(f"{path}:1: unexpected panel header")
-    dim = len(header) - len(PANEL_HEADER)
+    days: list[date] = []
+    values = array("d")
+    flags = array("q")
     for lineno, row in rows:
         try:
-            # Columns 1-7 are high..score_raw, in PanelRow's field order.
-            values = [float(v) for v in row[1:8]]
-            embedding = [float(v) for v in row[len(PANEL_HEADER) :]] if dim else None
-            panel_rows.append(PanelRow(date.fromisoformat(row[0]), *values, embedding, int(row[8]), int(row[9])))
-        except ValueError as exc:
+            values.extend(map(float, row[1:8] + row[len(PANEL_HEADER) :]))
+            days.append(date.fromisoformat(row[0]))
+            flags.extend((int(row[8]), int(row[9])))
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return AlignedPanel(ticker=ticker, rows=panel_rows, embedding_dim=dim)
+    width = len(PANEL_VALUES) + len(header) - len(PANEL_HEADER)
+    return AlignedPanel.from_columns(
+        ticker, days,
+        np.frombuffer(values, dtype=np.float64).reshape(-1, width),
+        np.frombuffer(flags, dtype=np.int64).reshape(-1, 2),
+    )

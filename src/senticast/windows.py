@@ -7,18 +7,16 @@ normalization statistics are fitted on each company's training rows only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .text import AlignedPanel
+from .text import PANEL_VALUES, AlignedPanel
 
 FEATURE_SET_KINDS = ("HLOV", "HLOVS", "HLOVE")
 BASE_COLUMNS = ("high", "low", "open", "volume", "close")
 KNOWN_DIM = 6  # holiday flag + day-of-week one-hot
 CLOSE_COLUMN = BASE_COLUMNS.index("close")
-_base_values = attrgetter(*BASE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,8 @@ class Windows:
         return self.company
 
     @property
-    def _ahead(self) -> np.ndarray:
+    def ahead(self) -> np.ndarray:
+        """(n, horizon) row indices of the forecast steps."""
         return self.ends[..., None] + np.arange(1, self.horizon + 1)
 
     @property
@@ -86,12 +85,12 @@ class Windows:
     @property
     def known(self) -> np.ndarray:
         """(n, horizon, KNOWN_DIM) known-future covariates."""
-        return self.known_rows[self._ahead]
+        return self.known_rows[self.ahead]
 
     @property
     def target(self) -> np.ndarray:
         """(n, horizon) normalized closes to forecast."""
-        return self.rows[self._ahead, CLOSE_COLUMN]
+        return self.rows[self.ahead, CLOSE_COLUMN]
 
     @property
     def anchor(self) -> np.ndarray:
@@ -100,7 +99,7 @@ class Windows:
 
     @property
     def target_days(self) -> np.ndarray:
-        return self.days[self._ahead]
+        return self.days[self.ahead]
 
     @property
     def anchor_day(self) -> np.ndarray:
@@ -144,29 +143,21 @@ class Normalizer:
 
 
 def panel_matrix(panel: AlignedPanel, spec: FeatureSetSpec) -> np.ndarray:
-    """Panel rows as a (T, features) array in the spec's column order."""
-    rows = []
-    for row in panel.rows:
-        values = list(_base_values(row))
-        if spec.kind == "HLOVS":
-            values.append(row.score)
-        elif spec.kind == "HLOVE":
-            if row.embedding is None:
-                raise ConfigError(f"{panel.ticker}: HLOVE requested but panel has no embeddings")
-            if len(row.embedding) != spec.embedding_dim:
-                raise ConfigError(
-                    f"{panel.ticker}: embedding dim {len(row.embedding)} != spec {spec.embedding_dim}"
-                )
-            values += row.embedding
-        rows.append(values)
-    return np.asarray(rows, dtype=np.float64)
+    """The spec's columns of the panel, (T, features): a view for HLOV and HLOVS, a copy for HLOVE."""
+    if spec.kind != "HLOVE":
+        return panel.values[:, : len(spec.columns)]  # high..close, then score for HLOVS
+    if panel.embedding_dim == 0:
+        raise ConfigError(f"{panel.ticker}: HLOVE requested but panel has no embeddings")
+    if panel.embedding_dim != spec.embedding_dim:
+        raise ConfigError(f"{panel.ticker}: embedding dim {panel.embedding_dim} != spec {spec.embedding_dim}")
+    return np.concatenate([panel.values[:, : len(BASE_COLUMNS)], panel.values[:, len(PANEL_VALUES) :]], axis=1)
 
 
 def known_future_matrix(panel: AlignedPanel) -> np.ndarray:
-    out = np.zeros((len(panel.rows), KNOWN_DIM))
-    for t, row in enumerate(panel.rows):
-        out[t, 0] = row.holiday
-        out[t, 1 + row.day_of_week] = 1.0
+    """(T, KNOWN_DIM): the holiday flag, then the day of the week one-hot."""
+    out = np.zeros((len(panel), KNOWN_DIM))
+    out[:, 0] = panel.calendar[:, 0]
+    out[np.arange(len(panel)), 1 + panel.calendar[:, 1]] = 1.0
     return out
 
 
@@ -186,7 +177,7 @@ def fit_normalizer(
 
     means, stds, train_rows = [], [], []
     for panel in panels:
-        T = len(panel.rows)
+        T = len(panel)
         if T < lookback + horizon:
             raise ValidationError(
                 f"{panel.ticker}: panel of {T} rows is too short for lookback {lookback} + horizon {horizon}"
@@ -228,12 +219,12 @@ def windows_from_normalizer(
     for company, panel in enumerate(panels):
         rows.append(normalizer.normalize(company, panel_matrix(panel, spec)))
         known.append(known_future_matrix(panel))
-        days += panel.column("day")
-        last = np.arange(offset + lookback - 1, offset + len(panel.rows) - horizon)
+        days += panel.days
+        last = np.arange(offset + lookback - 1, offset + len(panel) - horizon)
         ends.append(last)
         companies.append(np.full(len(last), company, dtype=np.int64))
         split_rows.append(np.full(len(last), offset + normalizer.train_rows[company]))
-        offset += len(panel.rows)
+        offset += len(panel)
     ends, split_at = np.concatenate(ends), np.concatenate(split_rows)
     windows = Windows(
         np.concatenate(rows), np.concatenate(known), np.asarray(days, dtype=object),

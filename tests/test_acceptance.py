@@ -27,7 +27,7 @@ from senticast.analysis import ols_r2_probe, random_vector_baseline, spearman
 from senticast.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from senticast.cli import EXIT_OK, main
 from senticast.losses import dmse_loss_batch, directional_weights
-from senticast.market import OhlcvBar, PriceSeries, atr, smooth
+from senticast.market import OhlcvBar, atr, smooth
 from senticast.metrics import compute_metrics
 from senticast.models import NLinear, TrainConfig
 from senticast.nn import (
@@ -209,12 +209,11 @@ def test_c04_atr_closed_form(capsys):
         while day.weekday() >= 5:
             day += timedelta(days=1)
         bars.append(OhlcvBar(day, 5.0, 5.0, 5.0, 5.0, 5.0, 1.0))
-    series = PriceSeries("TST", bars)
 
     ok = True
     detail = ""
     for n in (2, 14):
-        values = atr(series.bars, n)
+        values = atr([b.high for b in bars], [b.low for b in bars], [b.close for b in bars], n)
         expected = first_range
         for t in range(50):
             if values[t] != expected:

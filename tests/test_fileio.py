@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,8 +47,13 @@ READERS = {
     "tweets": (TWEETS, load_tweets_csv),
     # Each id maps to a row of one matrix; `.tolist()` makes the lookups comparable with `==`.
     "embeddings": (EMBEDDINGS, lambda path: {k: v.tolist() for k, v in load_embeddings_csv(path).items()}),
-    "panel": (PANEL, lambda path: read_panel_csv(path, "T")),
+    # A panel holds numpy columns; their plain-data view is comparable with `==`.
+    "panel": (PANEL, lambda path: panel_data(read_panel_csv(path, "T"))),
 }
+
+
+def panel_data(panel):
+    return panel.ticker, panel.days, panel.values.tolist(), panel.calendar.tolist()
 
 
 def load(tmp_path: Path, name: str, text: str):
@@ -137,3 +143,25 @@ def test_fileio_imports_no_numpy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True)
     assert out.stdout.strip() == "False", out.stderr
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2021-01-05,12.0,abc,10.5,1200.0,11.0,0.6,0.7,0,1,-0.1,0.0,0.25", "could not convert string to float: 'abc'"),
+    ("2021-01-05,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,0,1,-0.1,x,0.25", "could not convert string to float: 'x'"),
+    ("2021-01-32,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,0,1,-0.1,0.0,0.25", "day is out of range for month"),
+    ("2021-01-05,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,1.0,1,-0.1,0.0,0.25",
+     "invalid literal for int() with base 10: '1.0'"),
+    ("2021-01-05,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,0,1.0,-0.1,0.0,0.25",
+     "invalid literal for int() with base 10: '1.0'"),
+    # Two faults in a row: fields are checked as values, embedding, date, holiday, dow.
+    ("2021-01-05,12.0,abc,10.5,1200.0,11.0,0.6,0.7,0,1,-0.1,x,0.25", "could not convert string to float: 'abc'"),
+    ("bad-date,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,0,1,-0.1,x,0.25", "could not convert string to float: 'x'"),
+    ("bad-date,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,1.0,1,-0.1,0.0,0.25", "Invalid isoformat string: 'bad-date'"),
+    ("2021-01-05,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,h,d,-0.1,0.0,0.25", "invalid literal for int() with base 10: 'h'"),
+], ids=["value", "embedding", "date", "holiday", "dow",
+        "value-embedding", "embedding-date", "date-holiday", "holiday-dow"])
+def test_malformed_panel_row_reports_its_first_fault_and_line(tmp_path, row, message):
+    lines = PANEL.splitlines()
+    lines[2] = row
+    with pytest.raises(ParseError, match=re.escape(f":3: {message}") + "$"):
+        load(tmp_path, "panel", "\n".join(lines) + "\n")

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 from datetime import date
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,6 +131,11 @@ class TestSmooth:
             assert math.isclose(abs(rolling[idx - offset]), (span - k) / span, rel_tol=1e-12)
 
 
+def columns(series: PriceSeries) -> tuple[list[float], list[float], list[float]]:
+    """The high, low and close columns that `atr` reads."""
+    return [b.high for b in series.bars], [b.low for b in series.bars], [b.close for b in series.bars]
+
+
 def atr_oracle(series: PriceSeries, n: int) -> list[float]:
     """Independent route: true range as the max of the three candidate gaps."""
     first = series.bars[0]
@@ -153,12 +157,12 @@ class TestHolidayFile:
 class TestAtr:
     def test_constant_bars_yield_zero(self):
         series = make_bars([(5.0, 5.0, 5.0)] * 10)
-        assert atr(series.bars, 14) == [0.0] * 10
+        assert atr(*columns(series), 14) == [0.0] * 10
 
     def test_two_day_hand_case(self):
         series = make_bars([(10.0, 8.0, 9.0), (11.0, 9.0, 10.0)])
         # TR_2 = max(11, 9) - min(9, 9) = 2; ATR = 0.5*2 + 0.5*2
-        assert atr(series.bars, 2) == [2.0, 2.0]
+        assert atr(*columns(series), 2) == [2.0, 2.0]
 
     @pytest.mark.parametrize("n", [2, 14])
     def test_geometric_decay_from_single_nonzero_start(self, n):
@@ -170,7 +174,7 @@ class TestAtr:
         for _ in range(49):
             bars.append(OhlcvBar(day, 5.0, 5.0, 5.0, 5.0, 5.0, 1.0))
             day = _next(day)
-        values = atr(PriceSeries("TST", bars).bars, n)
+        values = atr(*columns(PriceSeries("TST", bars)), n)
         expected = a
         for t in range(50):
             assert values[t] == expected
@@ -188,7 +192,7 @@ class TestAtr:
                     close = rng.uniform(low, high)
                     hlc.append((high, low, close))
                 series = make_bars(hlc)
-                assert atr(series.bars, n) == atr_oracle(series, n)
+                assert atr(*columns(series), n) == atr_oracle(series, n)
 
     def test_nonnegative_on_valid_bars(self):
         rng = np.random.default_rng(3)
@@ -199,16 +203,21 @@ class TestAtr:
             high = close * (1 + abs(rng.normal(0, 0.05)))
             close = rng.uniform(low, high)
             hlc.append((high, low, close))
-        assert all(v >= 0 for v in atr(make_bars(hlc).bars, 7))
+        assert all(v >= 0 for v in atr(*columns(make_bars(hlc)), 7))
 
-    def test_takes_any_bars_with_high_low_close(self):
+    def test_takes_any_float_sequences(self):
         series = make_bars([(10.0, 8.0, 9.0), (11.0, 9.0, 10.0), (12.5, 9.5, 12.0)])
-        plain = [SimpleNamespace(high=b.high, low=b.low, close=b.close) for b in series.bars]
-        assert atr(plain, 2) == atr(series.bars, 2) == atr_oracle(series, 2)
+        as_tuples = [tuple(column) for column in columns(series)]
+        assert atr(*as_tuples, 2) == atr(*columns(series), 2) == atr_oracle(series, 2)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError):
-            atr(PriceSeries("TST", []).bars, 14)
+            atr(*columns(PriceSeries("TST", [])), 14)
+
+    def test_columns_of_unequal_length_rejected(self):
+        high, low, close = columns(make_bars([(10.0, 8.0, 9.0), (11.0, 9.0, 10.0)]))
+        with pytest.raises(ValidationError, match="differ in length: 2, 2, 1"):
+            atr(high, low, close[:1], 2)
 
 
 class TestDailyReturns:

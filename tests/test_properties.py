@@ -21,6 +21,7 @@ from conftest import (
 from senticast.analysis import average_ranks, spearman
 from senticast.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from senticast.cli import main
+from senticast.errors import AlignmentError
 from senticast.losses import dmse_loss_batch
 from senticast.market import BusinessCalendar, OhlcvBar, PriceSeries, smooth
 from senticast.metrics import METRIC_NAMES, MetricsRecord, composite_rank
@@ -136,8 +137,12 @@ def test_panel_csv_round_trip_is_exact(panel):
 
 
 @st.composite
-def alignments(draw):
-    """Bars on every business day of one span; text on a random subset of a shifted span."""
+def alignments(draw, any_day=False):
+    """Bars on every business day of one span; text on a random subset of a shifted span.
+
+    With `any_day`, text days may also fall on weekends and holidays and
+    arrive in any order.
+    """
     all_days = CAL.days_between(MONDAY, MONDAY + timedelta(days=40))
     lo, hi = sorted(draw(st.lists(st.integers(0, len(all_days) - 1), min_size=2, max_size=2)))
     bars = [
@@ -145,13 +150,14 @@ def alignments(draw):
         for i, d in enumerate(all_days[lo : hi + 1])
     ]
     dim = draw(st.integers(0, 2))
-    text_days = draw(st.lists(st.sampled_from(all_days), min_size=1, max_size=20, unique=True))
+    pool = [MONDAY + timedelta(days=i) for i in range(41)] if any_day else all_days
+    text_days = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20, unique=True))
     features = [
         DailyTextFeatures(
             day, "TST", 1, 1, 0.5, draw(st.floats(0, 5)),
             [draw(st.floats(-1, 1)) for _ in range(dim)] if dim and draw(st.booleans()) else None,
         )
-        for day in sorted(text_days)
+        for day in (draw(st.permutations(text_days)) if any_day else sorted(text_days))
     ]
     return PriceSeries("TST", bars), features, draw(st.integers(1, 20))
 
@@ -160,27 +166,47 @@ def alignments(draw):
 @given(alignments())
 def test_align_panel_fills_from_latest_observed_day(case):
     prices, features, span = case
-    days = CAL.days_between(
+
+    def latest(day, candidates):
+        earlier = [f for f in candidates if f.business_day <= day]
+        return earlier[-1] if earlier else None
+
+    # A row exists where the score, and the embedding if any day has one,
+    # can come from a day on or before it; nothing is filled from later.
+    with_embedding = [f for f in features if f.mean_embedding is not None]
+    overlap = CAL.days_between(
         max(prices.bars[0].date, features[0].business_day), min(prices.bars[-1].date, features[-1].business_day)
     )
-    observed = [f for f in features if f.business_day in days]
-    if not observed:
-        return  # disjoint or gap-only ranges raise AlignmentError; their cases are in test_text.py
+    days = [d for d in overlap if latest(d, features) and (not with_embedding or latest(d, with_embedding))]
+    if not any(f.business_day in days for f in features):
+        with pytest.raises(AlignmentError):  # an empty panel, or a range of gaps only
+            align_panel(prices, features, CAL, span)
+        return
     panel = align_panel(prices, features, CAL, span)
     assert [row.day for row in panel.rows] == days
 
-    def source(day, candidates):
-        earlier = [f for f in candidates if f.business_day <= day]
-        return earlier[-1] if earlier else candidates[0]
-
-    with_embedding = [f for f in observed if f.mean_embedding is not None]
     for row in panel.rows:
-        assert row.score_raw == source(row.day, observed).score2
-        expected = source(row.day, with_embedding).mean_embedding if with_embedding else None
+        assert row.score_raw == latest(row.day, features).score2
+        expected = latest(row.day, with_embedding).mean_embedding if with_embedding else None
         assert row.embedding == expected
     assert [row.score for row in panel.rows] == smooth([row.score_raw for row in panel.rows], "ewma", span)
     embeddings = [row.embedding for row in panel.rows if row.embedding is not None]
     assert len({id(e) for e in embeddings}) == len(embeddings)  # no row shares another's list
+
+
+@settings(max_examples=100, deadline=None)
+@given(alignments(any_day=True))
+def test_align_panel_rows_hold_only_text_from_on_or_before_their_day(case):
+    prices, features, span = case
+    try:
+        panel = align_panel(prices, features, CAL, span)
+    except AlignmentError:
+        return
+    for row in panel.rows:
+        earlier = [f for f in features if f.business_day <= row.day]
+        assert any(f.score2 == row.score_raw for f in earlier)
+        if panel.embedding_dim:
+            assert any(f.mean_embedding == row.embedding for f in earlier)
 
 
 TICKERS = ["AAA", "BBB"]

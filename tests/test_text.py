@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from dataclasses import replace
 from datetime import date, datetime
 
@@ -12,6 +13,7 @@ from senticast.errors import AlignmentError, NoObservations, ParseError, Validat
 from senticast.market import BusinessCalendar, OhlcvBar, PriceSeries
 from senticast.text import (
     AlignedPanel,
+    DailyTextFeatures,
     PanelRow,
     TweetRecord,
     aggregate_daily_text,
@@ -257,6 +259,52 @@ class TestAlignPanel:
         assert panel.rows[2].embedding == [1.0, 2.0]
         assert panel.rows[3].embedding == [3.0, 4.0]
 
+    def test_carry_starts_from_text_before_the_first_bar(self):
+        # Text on Mon 01-04 (score 1.0) and Mon 01-11 (9.0); bars from Wed
+        # 01-06.  Rows before 01-11 carry 01-04's score, never 01-11's.
+        prices = price_series(CAL.days_between(date(2021, 1, 6), date(2021, 1, 12)), [10.0] * 5)
+        feats = [
+            DailyTextFeatures(date(2021, 1, 4), "AAPL", 1, 1, 0.5, 1.0),
+            DailyTextFeatures(date(2021, 1, 11), "AAPL", 1, 9, 0.9, 9.0),
+        ]
+        panel = align_panel(prices, feats, CAL, smoothing_span=3)
+        assert [r.day for r in panel.rows] == CAL.days_between(date(2021, 1, 6), date(2021, 1, 11))
+        assert [r.score_raw for r in panel.rows] == [1.0, 1.0, 1.0, 9.0]
+
+    def test_panel_starts_at_the_first_embedding(self):
+        # Scores from 01-04, the first embedding on 01-06: no row before 01-06
+        # may hold that embedding, so the panel starts there.
+        prices = price_series(self.days, [10.0] * 5)
+        feats = [
+            DailyTextFeatures(date(2021, 1, 4), "AAPL", 1, 1, 0.5, 1.0),
+            DailyTextFeatures(date(2021, 1, 6), "AAPL", 1, 1, 0.5, 2.0, [1.0, 2.0]),
+            DailyTextFeatures(date(2021, 1, 8), "AAPL", 1, 1, 0.5, 3.0),
+        ]
+        panel = align_panel(prices, feats, CAL, smoothing_span=3)
+        assert [r.day for r in panel.rows] == self.days[2:]
+        assert [r.embedding for r in panel.rows] == [[1.0, 2.0]] * 3
+        assert [r.score_raw for r in panel.rows] == [2.0, 2.0, 3.0]
+
+    def test_embedding_carries_from_before_the_first_bar(self):
+        prices = price_series(self.days[2:], [10.0] * 3)
+        feats = [
+            DailyTextFeatures(date(2021, 1, 4), "AAPL", 1, 1, 0.5, 1.0, [1.0, 2.0]),
+            DailyTextFeatures(date(2021, 1, 7), "AAPL", 1, 1, 0.5, 2.0, [3.0, 4.0]),
+            DailyTextFeatures(date(2021, 1, 8), "AAPL", 1, 1, 0.5, 3.0),
+        ]
+        panel = align_panel(prices, feats, CAL, smoothing_span=3)
+        assert [r.embedding for r in panel.rows] == [[1.0, 2.0], [3.0, 4.0], [3.0, 4.0]]
+
+    def test_panel_left_empty_raises(self):
+        # Every embedding comes after the last bar, so no row can carry one.
+        prices = price_series(self.days, [10.0] * 5)
+        feats = [
+            DailyTextFeatures(date(2021, 1, 4), "AAPL", 1, 1, 0.5, 1.0),
+            DailyTextFeatures(date(2021, 1, 11), "AAPL", 1, 1, 0.5, 2.0, [1.0, 2.0]),
+        ]
+        with pytest.raises(AlignmentError, match="aligned panel is empty"):
+            align_panel(prices, feats, CAL, smoothing_span=3)
+
     def test_holiday_flag_marks_day_after_holiday(self):
         cal = BusinessCalendar([date(2021, 1, 6)])  # Wednesday holiday
         days = cal.days_between(date(2021, 1, 4), date(2021, 1, 8))
@@ -287,8 +335,10 @@ class TestPanelRoundTrip:
             assert a == b
 
     def test_numpy_scalars_round_trip_as_plain_floats(self, tmp_path):
-        panel = latent_sentiment_panels(0, n_companies=1, length=20, embed_dim=3)[0]
-        assert isinstance(panel.rows[-1].close, np.floating)
+        source = latent_sentiment_panels(0, n_companies=1, length=20, embed_dim=3)[0]
+        rows = [replace(r, close=np.float64(r.close), embedding=np.asarray(r.embedding)) for r in source.rows]
+        assert isinstance(rows[-1].close, np.floating)
+        panel = AlignedPanel(source.ticker, rows, source.embedding_dim)
         path = tmp_path / "panel.csv"
         write_panel_csv(path, panel)
         assert "np." not in path.read_text()
@@ -300,22 +350,41 @@ class TestPanelRoundTrip:
             )
 
     def test_crash_mid_write_leaves_old_panel_intact(self, tmp_path):
-        class Unwritable(float):
-            def __float__(self):
+        class Unwritable(date):
+            def isoformat(self):
                 raise RuntimeError("disk went away")
-
-            __repr__ = __str__ = __float__
 
         panel = latent_sentiment_panels(0, n_companies=1, length=50, embed_dim=3)[0]
         path = tmp_path / "panel.csv"
         write_panel_csv(path, panel)
         before = path.read_bytes()
         rows = list(panel.rows)
-        rows[30] = replace(rows[30], close=Unwritable(1.0))
+        day = rows[30].day
+        rows[30] = replace(rows[30], day=Unwritable(day.year, day.month, day.day))
+        broken = AlignedPanel(panel.ticker, rows, panel.embedding_dim)
         with pytest.raises(RuntimeError, match="disk went away"):
-            write_panel_csv(path, AlignedPanel(panel.ticker, rows, panel.embedding_dim))
+            write_panel_csv(path, broken)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
+
+
+class TestPanelFootprint:
+    def test_reading_eight_long_hlove_panels_peak_memory(self, tmp_path):
+        # The forecast benchmark's inputs: 8 tickers x 1,000 days with 16
+        # embedding columns, 1.5 MB of float64.  Read as columns, 1.9 MiB of
+        # traced allocations; as one object per row, 7.2 MiB.
+        panels = latent_sentiment_panels(0, n_companies=8, length=1000, embed_dim=16)
+        for panel in panels:
+            write_panel_csv(tmp_path / f"{panel.ticker}.csv", panel)
+        read_panel_csv(tmp_path / f"{panels[0].ticker}.csv", panels[0].ticker)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            loaded = [read_panel_csv(tmp_path / f"{p.ticker}.csv", p.ticker) for p in panels]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20, f"{peak / 2**20:.2f} MiB against 3 MiB"
+        assert [len(p.rows) for p in loaded] == [1000] * 8
 
 
 class TestTweetsCsv:

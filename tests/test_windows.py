@@ -177,7 +177,7 @@ class TestBuildWindows:
         for company, panel in enumerate((a, b)):
             z = norm.normalize(company, panel_matrix(panel, spec))
             known = known_future_matrix(panel)
-            days = panel.column("day")
+            days = panel.days
             split_at = norm.train_rows[company]
             for i in range(L - 1, len(panel.rows) - h):
                 sample = (
