@@ -11,7 +11,7 @@ from .errors import ConfigError, ShapeError, ValidationError
 from .nn.autograd import Parameter, Tensor, concat
 from .nn.blocks import GatedResidualNetwork, LstmEncoder, MultiHeadAttention, VariableSelection
 from .nn.layers import Linear, Module
-from .windows import KNOWN_DIM
+from .windows import CLOSE_COLUMN, KNOWN_DIM
 
 
 @dataclass
@@ -100,17 +100,9 @@ class NLinear(Module):
 
     kind = "nlinear"
 
-    def __init__(
-        self,
-        lookback: int,
-        horizon: int,
-        close_col: int,
-        rng: np.random.Generator,
-        const_init: bool = True,
-    ):
+    def __init__(self, lookback: int, horizon: int, rng: np.random.Generator, const_init: bool = True):
         self.lookback = lookback
         self.horizon = horizon
-        self.close_col = close_col
         if const_init:
             weight = np.full((lookback, horizon), 1.0 / lookback)
         else:
@@ -133,8 +125,9 @@ class NLinear(Module):
         company: np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
+        past_rows: np.ndarray | None = None,
     ) -> Tensor:
-        return self.forward(Tensor(past[:, :, self.close_col]))
+        return self.forward(Tensor(past[:, :, CLOSE_COLUMN]))
 
 
 class TftLite(Module):
@@ -194,7 +187,10 @@ class TftLite(Module):
         company: np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
+        past_rows: np.ndarray | None = None,
     ) -> Tensor:
+        """`past_rows`, the (batch, steps) panel-row index of each past step, lets
+        windows that hold the same row share its variable selection."""
         batch, steps, n_features = past.shape
         cfg = self.config
         if n_features != self.n_features:
@@ -203,20 +199,24 @@ class TftLite(Module):
             raise ShapeError(f"expected lookback {cfg.lookback}, got {steps}")
         if known.shape != (batch, cfg.horizon, KNOWN_DIM):
             raise ShapeError(f"known-future shape {known.shape} does not match config")
+        if past_rows is not None and past_rows.shape != (batch, steps):
+            raise ShapeError(f"past_rows shape {past_rows.shape} does not match past {(batch, steps)}")
 
         company = np.asarray(company, dtype=np.int64)
         static = self.company_embedding[company]  # (batch, hidden)
         context = static.repeat_rows(steps)  # (batch*steps, hidden), sample-major
 
-        # Variable selection is row-wise, so overlapping windows share the
-        # result of each repeated (company, day) row.  Dropout masks are
-        # drawn per row, so rows are shared only when none is drawn.
+        # Variable selection is row-wise, so windows that hold the same panel
+        # row share its result.  Dropout masks are drawn per row, so rows are
+        # shared only when none is drawn.
         flat_past = past.reshape(batch * steps, n_features)
-        shared = None if training and cfg.dropout > 0.0 else _distinct_rows(np.repeat(company, steps), flat_past)
-        if shared is None:
+        first = inverse = None
+        if past_rows is not None and not (training and cfg.dropout > 0.0):
+            _, first, inverse = np.unique(past_rows.ravel(), return_index=True, return_inverse=True)
+        if first is None or len(first) == len(inverse):
             combined, _ = self.selector(Tensor(flat_past), self.var_proj, context, training=training, rng=rng)
         else:
-            first, inverse = shared
+            # Rows are stacked per company, so a row's index fixes its company.
             combined, _ = self.selector(
                 Tensor(flat_past[first]), self.var_proj, self.company_embedding[company[first // steps]],
                 training=training, rng=rng,
@@ -238,25 +238,3 @@ class TftLite(Module):
 
         head_input = concat([final, Tensor(known.reshape(batch, cfg.horizon * KNOWN_DIM))], axis=-1)
         return self.head(head_input)
-
-
-def _distinct_rows(row_company: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(first, inverse) over the byte-distinct (company, row) pairs, or None when no pair repeats.
-
-    `rows[first]` holds each distinct pair once, in key order, and
-    `first[inverse]` maps every row to its pair's first occurrence.  Only
-    equal bytes match, so -0.0 and 0.0 stay apart, as do equal rows of two
-    companies.  A wrapping hash with odd multipliers screens out a batch
-    with no repeat before the costlier byte sort: equal bytes give equal
-    hashes, and two keys that differ in one word never collide.
-    """
-    keys = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=np.uint64)
-    keys[:, 0] = row_company
-    keys[:, 1:] = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
-    multipliers = np.arange(1, keys.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) | np.uint64(1)
-    hashes = np.sort(keys @ multipliers)
-    if not (hashes[1:] == hashes[:-1]).any():
-        return None
-    row_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(row_bytes, return_index=True, return_inverse=True)
-    return (first, inverse) if len(first) < len(row_bytes) else None

@@ -445,7 +445,8 @@ def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
     """Read a `write_panel_csv` file into columns in one pass.
 
     A row's fields are checked in this order, and the first fault names
-    its file line: high..score_raw, the embedding, the date, holiday, dow.
+    its file line: high..score_raw, the embedding, the date, holiday, dow,
+    then the calendar's range (holiday 0 or 1, dow 0..4 for Mon..Fri).
     """
     path = Path(path)
     rows = read_csv(path)
@@ -459,9 +460,12 @@ def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
         try:
             values.extend(map(float, row[1:8] + row[len(PANEL_HEADER) :]))
             days.append(date.fromisoformat(row[0]))
-            flags.extend((int(row[8]), int(row[9])))
+            holiday, dow = int(row[8]), int(row[9])
         except (ValueError, OverflowError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if holiday not in (0, 1) or not 0 <= dow <= 4:
+            raise ParseError(f"{path}:{lineno}: holiday must be 0 or 1 and dow 0..4, got {holiday} and {dow}")
+        flags.extend((holiday, dow))
     width = len(PANEL_VALUES) + len(header) - len(PANEL_HEADER)
     return AlignedPanel.from_columns(
         ticker, days,

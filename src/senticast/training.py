@@ -14,7 +14,7 @@ from .models import NLinear, TftLite, TrainConfig
 from .nn.autograd import no_grad
 from .nn.optim import ParamArena, adam_step
 from .text import AlignedPanel
-from .windows import CLOSE_COLUMN, FeatureSetSpec, Windows, build_windows
+from .windows import FeatureSetSpec, Windows, build_windows
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +31,7 @@ def stack_windows(windows: Windows) -> Windows:
 
 def build_model(kind: str, config: TrainConfig, n_features: int, n_companies: int, rng: np.random.Generator):
     if kind == "nlinear":
-        return NLinear(config.lookback, config.horizon, CLOSE_COLUMN, rng, const_init=config.nlinear_const_init)
+        return NLinear(config.lookback, config.horizon, rng, const_init=config.nlinear_const_init)
     if kind == "tft_lite":
         return TftLite(config, n_features, n_companies, rng)
     raise ConfigError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
@@ -71,7 +71,8 @@ def train_model(
             batch_idx = order[start : start + config.batch_size]
             batch = windows[batch_idx]
             pred = model.forward_batch(
-                batch.past, batch.known, batch.company, training=True, rng=dropout_rng
+                batch.past, batch.known, batch.company, training=True, rng=dropout_rng,
+                past_rows=batch.past_rows,
             )
             if loss == "dmse":
                 loss_t = dmse_loss_batch(pred, batch.target, batch.anchor, config.dmse_alpha)
@@ -99,7 +100,9 @@ def predict_windows(model, windows: Windows, chunk: int = 512) -> np.ndarray:
         for start in range(0, len(windows), chunk):
             batch = windows[start : start + chunk]
             outputs.append(
-                model.forward_batch(batch.past, batch.known, batch.company, training=False).data
+                model.forward_batch(
+                    batch.past, batch.known, batch.company, training=False, past_rows=batch.past_rows
+                ).data
             )
     return np.concatenate(outputs, axis=0)
 

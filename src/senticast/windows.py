@@ -78,9 +78,14 @@ class Windows:
         return self.ends[..., None] + np.arange(1, self.horizon + 1)
 
     @property
+    def past_rows(self) -> np.ndarray:
+        """(n, lookback) row indices of the observed steps."""
+        return self.ends[..., None] + np.arange(1 - self.lookback, 1)
+
+    @property
     def past(self) -> np.ndarray:
         """(n, lookback, features) normalized inputs."""
-        return self.rows[self.ends[..., None] + np.arange(1 - self.lookback, 1)]
+        return self.rows[self.past_rows]
 
     @property
     def known(self) -> np.ndarray:

@@ -166,7 +166,7 @@ def test_c03_gradient_checks(capsys):
 
         run(f"vsn[{seed}]", vsn_loss, [vx, vctx] + [p for proj in vproj for p in proj.parameters()] + vsn.parameters())
 
-        nlin = NLinear(6, 2, close_col=0, rng=rng, const_init=False)
+        nlin = NLinear(6, 2, rng=rng, const_init=False)
         nx = Parameter(rng.normal(size=(2, 6)), "nx")
         ncoeff = Tensor(rng.normal(size=(2, 2)))
         run(

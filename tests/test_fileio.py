@@ -158,8 +158,14 @@ def test_fileio_imports_no_numpy():
     ("bad-date,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,0,1,-0.1,x,0.25", "could not convert string to float: 'x'"),
     ("bad-date,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,1.0,1,-0.1,0.0,0.25", "Invalid isoformat string: 'bad-date'"),
     ("2021-01-05,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,h,d,-0.1,0.0,0.25", "invalid literal for int() with base 10: 'h'"),
+    # Both calendar ints parse, then their range is checked: dow 5 is a Saturday.
+    ("2021-01-05,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,2,1,-0.1,0.0,0.25", "holiday must be 0 or 1 and dow 0..4, got 2 and 1"),
+    ("2021-01-05,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,0,-1,-0.1,0.0,0.25", "holiday must be 0 or 1 and dow 0..4, got 0 and -1"),
+    ("2021-01-05,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,0,5,-0.1,0.0,0.25", "holiday must be 0 or 1 and dow 0..4, got 0 and 5"),
+    ("2021-01-05,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,7,d,-0.1,0.0,0.25", "invalid literal for int() with base 10: 'd'"),
 ], ids=["value", "embedding", "date", "holiday", "dow",
-        "value-embedding", "embedding-date", "date-holiday", "holiday-dow"])
+        "value-embedding", "embedding-date", "date-holiday", "holiday-dow",
+        "holiday-2", "dow-minus-1", "dow-5", "holiday-range-dow"])
 def test_malformed_panel_row_reports_its_first_fault_and_line(tmp_path, row, message):
     lines = PANEL.splitlines()
     lines[2] = row

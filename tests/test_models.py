@@ -7,10 +7,10 @@ import pytest
 
 from conftest import INVALID_TRAIN_CASES, INVALID_TRAIN_IDS, causal_mask, vsn_composed
 from gradcheck import gradcheck
-from senticast import models
 from senticast.errors import ConfigError, ShapeError, ValidationError
 from senticast.models import NLinear, TftLite, TrainConfig, naive_seasonal_forecast
 from senticast.nn import Tensor, no_grad
+from senticast.windows import CLOSE_COLUMN
 
 
 class TestTrainConfig:
@@ -68,18 +68,18 @@ class TestNaiveSeasonal:
 
 class TestNLinear:
     def test_const_init_on_constant_window_is_identity(self):
-        model = NLinear(5, 3, close_col=4, rng=np.random.default_rng(0), const_init=True)
+        model = NLinear(5, 3, rng=np.random.default_rng(0), const_init=True)
         out = model.forward(Tensor(np.full((2, 5), 7.0)))
         assert np.allclose(out.data, 7.0, atol=1e-12)
 
     def test_const_init_hand_case(self):
         # (x - x_L) averaged + x_L: mean([-2,-1,0]) + 3 = 2
-        model = NLinear(3, 1, close_col=4, rng=np.random.default_rng(0), const_init=True)
+        model = NLinear(3, 1, rng=np.random.default_rng(0), const_init=True)
         assert model.forward(Tensor([[1.0, 2.0, 3.0]])).data[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(1)
-        model = NLinear(8, 3, close_col=4, rng=rng, const_init=False)
+        model = NLinear(8, 3, rng=rng, const_init=False)
         x = rng.normal(size=(4, 8))
         base = model.forward(Tensor(x)).data
         for _ in range(5):
@@ -88,14 +88,14 @@ class TestNLinear:
             assert np.allclose(shifted, base + c, rtol=1e-12, atol=1e-10)
 
     def test_wrong_window_length(self):
-        model = NLinear(5, 2, close_col=4, rng=np.random.default_rng(0))
+        model = NLinear(5, 2, rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
             model.forward(Tensor(np.ones((1, 4))))
 
     def test_forward_batch_uses_close_channel_only(self):
-        model = NLinear(5, 2, close_col=1, rng=np.random.default_rng(0))
-        past = np.zeros((3, 5, 4))
-        past[:, :, 1] = 9.0
+        model = NLinear(5, 2, rng=np.random.default_rng(0))
+        past = np.zeros((3, 5, CLOSE_COLUMN + 2))
+        past[:, :, CLOSE_COLUMN] = 9.0
         out = model.forward_batch(past, np.zeros((3, 2, 6)), np.zeros(3, dtype=int))
         assert np.allclose(out.data, 9.0, atol=1e-12)
 
@@ -238,37 +238,35 @@ class TestTftLiteAttention:
         rng = np.random.default_rng(0)
         model = TftLite(cfg, n_features=21, n_companies=8, rng=rng)
         cases = [
-            (rng.normal(size=(512, 15, 21)), np.arange(512) % 8, 27),
+            (rng.normal(size=(512, 15, 21)), np.arange(512) % 8, None, 27),
             (*stride1_windows(rng.normal(size=(8, 78, 21)), 15), 13),
         ]
         known = np.zeros((512, 3, 6))
-        for past, company, bound in cases:
+        for past, company, past_rows, bound in cases:
             with no_grad():
-                model.forward_batch(past, known, company)  # first-call allocations stay out of the figure
+                # first-call allocations stay out of the figure
+                model.forward_batch(past, known, company, past_rows=past_rows)
                 tracemalloc.start()
                 try:
-                    model.forward_batch(past, known, company)
+                    model.forward_batch(past, known, company, past_rows=past_rows)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
             assert peak <= bound * 2**20, f"{peak / 2**20:.2f} MiB against {bound} MiB"
 
 
-def stride1_windows(series: np.ndarray, lookback: int) -> tuple[np.ndarray, np.ndarray]:
+def stride1_windows(series: np.ndarray, lookback: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every stride-1 window over each company's (days, features) rows; neighbours share lookback - 1 rows.
 
-    Returns the (windows, lookback, features) past arrays and each window's company.
+    Returns the (windows, lookback, features) past arrays, each window's
+    company, and the (windows, lookback) index of each step's row in the
+    companies' rows stacked end to end.
     """
-    n_companies, days, _ = series.shape
+    n_companies, days, features = series.shape
     company = np.repeat(np.arange(n_companies), days - lookback + 1)
     ends = np.tile(np.arange(lookback - 1, days), n_companies)
-    return series[company[:, None], ends[:, None] + np.arange(1 - lookback, 1)], company
-
-
-def distinct_keys(past: np.ndarray, company: np.ndarray) -> int:
-    """The number of distinct (company, row bytes) pairs over every window step."""
-    steps, features = past.shape[1], past.shape[2]
-    return len(set(zip(np.repeat(company, steps).tolist(), map(bytes, past.reshape(-1, features)))))
+    past_rows = (company * days + ends)[:, None] + np.arange(1 - lookback, 1)
+    return series.reshape(-1, features)[past_rows], company, past_rows
 
 
 class Recorder:
@@ -288,37 +286,34 @@ class Recorder:
 
 
 class TestTftLiteRowSharing:
-    """Overlapping windows run variable selection once per distinct (company, row) pair."""
+    """Windows that hold the same panel row run its variable selection once."""
 
     @staticmethod
     def shared_rows_batch():
         # Three companies; company 1 repeats one of company 0's rows, and
-        # company 2 has two rows that differ only in the sign of a zero.
+        # company 2 holds one row twice, at days 2 and 7.
         rng = np.random.default_rng(41)
         series = rng.normal(size=(3, 10, 4))
         series[1, 3] = series[0, 3]
-        series[2, 2, 0] = 0.0
         series[2, 7] = series[2, 2]
-        series[2, 7, 0] = -0.0
-        past, company = stride1_windows(series, 6)
-        return past, rng.normal(size=(15, 2, 6)), company
+        past, company, past_rows = stride1_windows(series, 6)
+        return past, rng.normal(size=(15, 2, 6)), company, past_rows
 
-    def test_matches_the_per_row_oracle(self, monkeypatch):
-        past, known, company = self.shared_rows_batch()
+    def test_matches_the_per_row_oracle(self):
+        past, known, company, past_rows = self.shared_rows_batch()
         model = TftLite(tiny_config(), n_features=4, n_companies=3, rng=np.random.default_rng(0))
-        distinct = distinct_keys(past, company)
+        distinct = len(np.unique(past_rows))
         assert distinct == 30 < past.shape[0] * past.shape[1]  # each company's 10 days, once each
         selector, encoder = model.selector, model.encoder
 
         model.selector, model.encoder = Recorder(selector), Recorder(encoder)
-        shared = model.forward_batch(past, known, company).data
+        shared = model.forward_batch(past, known, company, past_rows=past_rows).data
         assert model.selector.rows == [distinct]
         shared_rows = model.encoder.inputs[0]
 
         def per_row(x, projections, context, training=False, rng=None):
             return vsn_composed(selector, x, projections, context, training=training, rng=rng)
 
-        monkeypatch.setattr(models, "_distinct_rows", lambda *args: None)
         model.selector, model.encoder = Recorder(per_row), Recorder(encoder)
         oracle = model.forward_batch(past, known, company).data
         assert model.selector.rows == [past.shape[0] * past.shape[1]]
@@ -328,16 +323,42 @@ class TestTftLiteRowSharing:
         assert row_err.max() <= 1e-12
         assert np.max(np.abs(shared - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
-    def test_all_distinct_rows_are_not_keyed(self):
-        rng = np.random.default_rng(42)
-        assert models._distinct_rows(np.zeros(40, dtype=np.int64), rng.normal(size=(40, 5))) is None
+    def test_byte_equal_rows_at_two_indices_each_run_once(self):
+        # Company 2's days 2 and 7 hold the same bytes, and company 1's day 3
+        # those of company 0: they are four rows, each run once.
+        past, known, company, past_rows = self.shared_rows_batch()
+        model = TftLite(tiny_config(), n_features=4, n_companies=3, rng=np.random.default_rng(0))
+        model.selector = Recorder(model.selector)
+        model.forward_batch(past, known, company, past_rows=past_rows)
+        assert len(np.unique(past.reshape(-1, 4), axis=0)) == 28
+        assert model.selector.rows == [len(np.unique(past_rows))] == [30]
 
-    def test_dropout_training_runs_every_row_with_the_same_bits(self, monkeypatch):
-        past, known, company = self.shared_rows_batch()
+    def test_all_distinct_rows_run_in_batch_order(self):
+        rng = np.random.default_rng(42)
+        past, known, company = tiny_batch(rng, batch=4, features=5)
+        past_rows = np.arange(4 * 6).reshape(4, 6)
+        model = TftLite(tiny_config(), n_features=5, n_companies=2, rng=np.random.default_rng(0))
+        model.selector = Recorder(model.selector)
+        keyed = model.forward_batch(past, known, company, past_rows=past_rows).data
+        unkeyed = model.forward_batch(past, known, company).data
+        assert model.selector.rows == [24, 24]
+        assert np.array_equal(model.selector.inputs[0], past.reshape(24, 5))
+        assert np.array_equal(keyed, unkeyed)
+
+    def test_past_rows_must_match_the_batch(self):
+        past, known, company, past_rows = self.shared_rows_batch()
+        model = TftLite(tiny_config(), n_features=4, n_companies=3, rng=np.random.default_rng(0))
+        for bad in (past_rows[:-1], past_rows[:, 1:], past_rows.ravel()):
+            with pytest.raises(ShapeError, match="past_rows"):
+                model.forward_batch(past, known, company, past_rows=bad)
+
+    def test_dropout_training_runs_every_row_with_the_same_bits(self):
+        past, known, company, past_rows = self.shared_rows_batch()
         model = TftLite(tiny_config(dropout=0.25), n_features=4, n_companies=3, rng=np.random.default_rng(0))
         model.selector = Recorder(model.selector)
-        out = model.forward_batch(past, known, company, training=True, rng=np.random.default_rng(5)).data
-        monkeypatch.setattr(models, "_distinct_rows", lambda *args: None)
+        out = model.forward_batch(
+            past, known, company, training=True, rng=np.random.default_rng(5), past_rows=past_rows
+        ).data
         unshared = model.forward_batch(past, known, company, training=True, rng=np.random.default_rng(5)).data
         assert model.selector.rows == [past.shape[0] * past.shape[1]] * 2
         assert np.array_equal(out, unshared)
@@ -348,16 +369,16 @@ class TestTftLiteRowSharing:
         cfg = TrainConfig(lookback=6, horizon=2, hidden_size=8, n_heads=2, hidden_continuous_size=4, dropout=0.0)
         rng = np.random.default_rng(43)
         model = TftLite(cfg, n_features=3, n_companies=3, rng=rng)
-        past, company = stride1_windows(rng.normal(size=(3, 9, 3)), 6)
+        past, company, past_rows = stride1_windows(rng.normal(size=(3, 9, 3)), 6)
         known = rng.normal(size=(12, 2, 6))
         coeff = Tensor(rng.normal(size=(12, 2)))
         selector = Recorder(model.selector)
         model.selector = selector
-        model.forward_batch(past, known, company)
+        model.forward_batch(past, known, company, past_rows=past_rows)
         model.selector = selector.forward
-        assert selector.rows == [distinct_keys(past, company)] == [27]
+        assert selector.rows == [len(np.unique(past_rows))] == [27]
         report = gradcheck(
-            lambda: (model.forward_batch(past, known, company, training=True) * coeff).sum(),
+            lambda: (model.forward_batch(past, known, company, training=True, past_rows=past_rows) * coeff).sum(),
             model.parameters(), delta=1e-5, tol=1e-4, max_coords_per_param=48,
         )
         assert report.passed, report.summary()

@@ -25,7 +25,7 @@ from senticast.errors import AlignmentError
 from senticast.losses import dmse_loss_batch
 from senticast.market import BusinessCalendar, OhlcvBar, PriceSeries, smooth
 from senticast.metrics import METRIC_NAMES, MetricsRecord, composite_rank
-from senticast.models import TrainConfig
+from senticast.models import TftLite, TrainConfig
 from senticast.text import (
     AlignedPanel,
     DailyTextFeatures,
@@ -40,8 +40,8 @@ from senticast.text import (
     write_panel_csv,
 )
 from senticast.nn import Tensor
-from senticast.training import build_model
-from senticast.windows import FeatureSetSpec, Normalizer, build_windows
+from senticast.training import build_model, predict_windows
+from senticast.windows import FeatureSetSpec, Normalizer, Windows, build_windows
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -532,3 +532,34 @@ def test_calendar_matches_day_by_day_oracle(holidays, start, end):
     while not trades(prev, holidays):
         prev -= timedelta(days=1)
     assert cal.follows_holiday(end) == any(prev < h < end for h in holidays)
+
+
+@st.composite
+def repeated_windows(draw):
+    """Windows drawn with repeats over 1-3 companies' stacked rows, and a chunk size to batch them by."""
+    lookback, horizon = 4, 2
+    lengths = draw(st.lists(st.integers(lookback + horizon, lookback + horizon + 6), min_size=1, max_size=3))
+    offsets = np.cumsum([0] + lengths)
+    company = draw(st.lists(st.integers(0, len(lengths) - 1), min_size=1, max_size=24))
+    ends = [offsets[c] + lookback - 1 + draw(st.integers(0, lengths[c] - lookback - horizon)) for c in company]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Rows drawn from a small pool repeat their bytes at other indices, also in other companies.
+    pool = rng.normal(size=(draw(st.integers(1, offsets[-1])), 3))
+    windows = Windows(
+        pool[rng.integers(0, len(pool), offsets[-1])], rng.normal(size=(offsets[-1], 6)), np.arange(offsets[-1]),
+        np.array(ends), np.array(company), lookback, horizon,
+    )
+    return windows, len(lengths), draw(st.integers(1, len(ends))), rng
+
+
+@settings(max_examples=50, deadline=None)
+@given(repeated_windows())
+def test_windows_sharing_rows_match_the_every_row_forward(case):
+    # An index repeats within a chunk where windows overlap or one is drawn
+    # twice, and across chunks; each chunk runs its distinct indices once.
+    windows, n_companies, chunk, rng = case
+    cfg = TrainConfig(lookback=4, horizon=2, hidden_size=8, n_heads=2, hidden_continuous_size=4, dropout=0.0)
+    model = TftLite(cfg, n_features=3, n_companies=n_companies, rng=rng)
+    oracle = model.forward_batch(windows.past, windows.known, windows.company).data
+    shared = predict_windows(model, windows, chunk=chunk)
+    assert np.max(np.abs(shared - oracle)) <= 1e-12 * np.max(np.abs(oracle))

@@ -166,7 +166,10 @@ class TestTrainingStepFootprint:
         train, cfg = c09_hlove()
         model = build_model("tft_lite", cfg, train.rows.shape[1], 2, np.random.default_rng(0))
         batch = train[np.arange(cfg.batch_size)]
-        pred = model.forward_batch(batch.past, batch.known, batch.company, training=True, rng=np.random.default_rng(1))
+        pred = model.forward_batch(
+            batch.past, batch.known, batch.company, training=True, rng=np.random.default_rng(1),
+            past_rows=batch.past_rows,
+        )
         assert graph_nodes(dmse_loss_batch(pred, batch.target, batch.anchor, cfg.dmse_alpha)) <= 242
 
 

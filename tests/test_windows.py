@@ -174,7 +174,7 @@ class TestBuildWindows:
 
         # Reference: one window at a time, sliced from each company's own arrays.
         want_train, want_test = [], []
-        for company, panel in enumerate((a, b)):
+        for company, (offset, panel) in enumerate(((0, a), (len(a), b))):
             z = norm.normalize(company, panel_matrix(panel, spec))
             known = known_future_matrix(panel)
             days = panel.days
@@ -188,6 +188,7 @@ class TestBuildWindows:
                     company,
                     days[i + 1 : i + 1 + h],
                     days[i],
+                    offset + np.arange(i - L + 1, i + 1),  # the stacked rows' index of each past step
                 )
                 if i + h <= split_at - 1:
                     want_train.append(sample)
@@ -198,9 +199,12 @@ class TestBuildWindows:
         assert {int(c) for c in test.company} == {0, 1}
         for got, want in ((train, want_train), (test, want_test)):
             assert len(got) == len(want)
-            fields = (got.past, got.known, got.target, got.anchor, got.company_index, got.target_days, got.anchor_day)
+            fields = (
+                got.past, got.known, got.target, got.anchor, got.company_index, got.target_days, got.anchor_day,
+                got.past_rows,
+            )
             for k, expected in enumerate(want):
-                past, known, target, anchor, company, target_days, anchor_day = (f[k] for f in fields)
+                past, known, target, anchor, company, target_days, anchor_day, past_rows = (f[k] for f in fields)
                 assert np.array_equal(past, expected[0])
                 assert np.array_equal(known, expected[1])
                 assert np.array_equal(target, expected[2])
@@ -208,7 +212,9 @@ class TestBuildWindows:
                 assert company == expected[4]
                 assert list(target_days) == expected[5]
                 assert anchor_day == expected[6]
+                assert np.array_equal(past_rows, expected[7])
             for k, window in enumerate(got):  # one window read on its own
                 assert np.array_equal(window.past, want[k][0])
+                assert np.array_equal(window.past_rows, want[k][7])
                 assert window.anchor == want[k][3]
                 assert list(window.target_days) == want[k][5]
