@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -30,7 +31,7 @@ from .errors import (
     SenticastError,
     ValidationError,
 )
-from .fileio import read_csv, write_atomic
+from .fileio import read_csv, read_table, write_atomic
 from .metrics import compute_metrics, composite_rank
 from .models import naive_seasonal_forecast
 from .training import grid_search, predict_windows, train_model
@@ -333,9 +334,28 @@ def cmd_predict(config: RunConfig, artifacts: Artifacts) -> None:
 
 
 def _read_predictions(path: Path) -> dict[str, tuple[list[float], list[float]]]:
-    grouped: dict[str, tuple[list[float], list[float]]] = {}
+    """Truths and predictions per ticker, in file order.
+
+    One numpy pass reads a well-formed file; any other goes line by line,
+    and its first faulty line raises.
+    """
     rows = read_csv(path)
-    next(rows)
+    _, header = next(rows)
+    if len(header) >= 5:
+        table = read_table(
+            path,
+            [("date", object), ("ticker", object), ("step", object), ("truth", np.float64), ("pred", np.float64)]
+            + [(f"extra{i}", object) for i in range(5, len(header))],
+        )
+        if table is not None:
+            rows.close()
+            names, first, inverse = np.unique(table["ticker"], return_index=True, return_inverse=True)
+            order = np.argsort(inverse, kind="stable")  # grouped by ticker, file order within a group
+            bounds = np.cumsum(np.bincount(inverse))[:-1]
+            truths = np.split(table["truth"][order], bounds)
+            preds = np.split(table["pred"][order], bounds)
+            return {names[k]: (truths[k].tolist(), preds[k].tolist()) for k in np.argsort(first).tolist()}
+    grouped: dict[str, tuple[list[float], list[float]]] = {}
     for lineno, row in rows:
         truths, preds = grouped.setdefault(row[1], ([], []))
         try:
@@ -463,7 +483,9 @@ _DISPATCH = {
     "report": cmd_report,
 }
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (`main` runs once per stage); callers share it unchanged."""
     parser = argparse.ArgumentParser(
         prog="senticast",
         description="Batch experiments comparing sentiment and embedding features for close-price forecasting.",

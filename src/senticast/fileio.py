@@ -1,7 +1,7 @@
 """CSV reading and atomic file replacement, shared by every input reader and artifact writer.
 
-It imports neither numpy nor the model code, so reading or writing plain
-CSV through it loads neither.
+It imports neither numpy nor the model code at import time, so reading or
+writing plain CSV through it loads neither; only `read_table` imports numpy.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Iterator
 
@@ -36,6 +37,37 @@ def read_csv(path: Path | str) -> Iterator[tuple[int, list[str]]]:
                     raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
                 yield lineno, row
             lineno = reader.line_num + 1  # a quoted field may span lines
+
+
+def read_table(path: Path | str, dtype):
+    """Parse the rows below a CSV file's header line in one `np.loadtxt` pass, or return None.
+
+    `dtype` is structured, one field per column, with text columns as
+    `object` (a fixed width would truncate them silently).  numpy's C reader
+    knows no quoting and skips only empty lines, and its float parse gives
+    the bits `float` gives while refusing more (`1_0`, non-ASCII digits), so
+    `read_csv` reads any table it returns to the same values.  None means
+    that numpy refused the file or warned (a file without rows), or that a
+    text field holds a quote or a NUL, which `read_csv` reads otherwise or
+    refuses: the caller's row loop then reads the file and names its fault.
+    """
+    import numpy as np
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                encoding="utf-8-sig", quotechar=None, ndmin=1,
+            )
+    except (ValueError, OverflowError, Warning):
+        return None
+    for name in table.dtype.names:
+        if table.dtype[name] == object:
+            text = "".join(table[name].tolist())
+            if '"' in text or "\x00" in text:
+                return None
+    return table
 
 
 def write_atomic(path: Path | str, text: str) -> None:

@@ -21,14 +21,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AlignmentError, NoObservations, ParseError, ValidationError
-from .fileio import read_csv, write_atomic
+from .fileio import read_csv, read_table, write_atomic
 from .market import BusinessCalendar, PriceSeries, smooth
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 _CASHTAG_RE = re.compile(r"\$[A-Za-z][A-Za-z0-9]*")
 _NON_ALNUM_RE = re.compile(r"[^A-Za-z0-9\s]+")
-_WS_RE = re.compile(r"\s+")
 
 PANEL_HEADER = ("date", "high", "low", "open", "volume", "close", "score", "score_raw", "holiday", "dow")
 PANEL_VALUES = PANEL_HEADER[1:8]  # the float columns of AlignedPanel.values ahead of the embedding
@@ -134,12 +133,20 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
 
 
 def clean_tweet(body: str) -> str:
-    """Strip links, mentions, cashtags, and punctuation; lowercase and collapse."""
-    text = _URL_RE.sub(" ", body)
-    text = _MENTION_RE.sub(" ", text)
-    text = _CASHTAG_RE.sub(" ", text)
-    text = _NON_ALNUM_RE.sub("", text)
-    return _WS_RE.sub(" ", text).strip().lower()
+    """Strip links, mentions, cashtags, and punctuation; lowercase and collapse.
+
+    A link, mention or cashtag match holds `://` or `www.` (in any case),
+    `@` or `$`, so a failed substring test skips its regex.  `str.split`
+    splits on the whitespace that `\\s` matches.
+    """
+    text = body
+    if "://" in text or "www." in text.lower():
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    if "$" in text:
+        text = _CASHTAG_RE.sub(" ", text)
+    return " ".join(_NON_ALNUM_RE.sub("", text).split()).lower()
 
 
 def filter_corpus(
@@ -399,15 +406,24 @@ def load_embeddings_csv(path: Path | str) -> dict[str, np.ndarray]:
     """Read `tweet_id,v0,...,v{d-1}`; the column count declares d.
 
     Each id maps to a read-only row of one float64 matrix.  A `tweet_id`
-    may appear once only, and every value must be finite.
+    may appear once only, and every value must be finite.  One numpy pass
+    reads a well-formed file; any other file goes line by line, and its
+    first faulty line raises.
     """
     path = Path(path)
-    ids: dict[str, None] = {}
-    values = array("d")
     rows = read_csv(path)
     _, header = next(rows)
     if not header or header[0].strip() != "tweet_id" or len(header) < 2:
         raise ParseError(f"{path}:1: expected header tweet_id,v0,...")
+    dim = len(header) - 1
+    table = read_table(path, [("id", object), ("values", np.float64, (dim,))])
+    if table is not None:
+        keys = table["id"].tolist()
+        if len(set(keys)) == len(keys) and np.isfinite(table["values"]).all():
+            rows.close()
+            return dict(zip(keys, _read_only(np.ascontiguousarray(table["values"]))))
+    ids: dict[str, None] = {}
+    values = array("d")
     for lineno, row in rows:
         if row[0] in ids:
             raise ParseError(f"{path}:{lineno}: duplicate tweet_id {row[0]!r}")
@@ -420,7 +436,7 @@ def load_embeddings_csv(path: Path | str) -> dict[str, np.ndarray]:
             raise ValidationError(f"{path}:{lineno}: non-finite embedding value")
         ids[row[0]] = None
         values.extend(vector)
-    return dict(zip(ids, _read_only(np.frombuffer(values, dtype=np.float64).reshape(-1, len(header) - 1))))
+    return dict(zip(ids, _read_only(np.frombuffer(values, dtype=np.float64).reshape(-1, dim))))
 
 
 def attach_embeddings(tweets: Sequence[TweetRecord], vectors: dict[str, np.ndarray]) -> None:
@@ -442,17 +458,26 @@ def write_panel_csv(path: Path | str, panel: AlignedPanel) -> None:
 
 
 def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
-    """Read a `write_panel_csv` file into columns in one pass.
+    """Read a `write_panel_csv` file into columns.
 
-    A row's fields are checked in this order, and the first fault names
-    its file line: high..score_raw, the embedding, the date, holiday, dow,
-    then the calendar's range (holiday 0 or 1, dow 0..4 for Mon..Fri).
+    One numpy pass reads a well-formed file.  Any other file goes line by
+    line, where a row's fields are checked in this order and the first
+    fault names its file line: high..score_raw, the embedding, the date,
+    holiday, dow, then the calendar's range (holiday 0 or 1, dow 0..4 for
+    Mon..Fri).
     """
     path = Path(path)
     rows = read_csv(path)
     _, header = next(rows)
     if tuple(header[: len(PANEL_HEADER)]) != PANEL_HEADER:
         raise ParseError(f"{path}:1: unexpected panel header")
+    dim = len(header) - len(PANEL_HEADER)
+    fields = [("date", object), ("values", np.float64, (len(PANEL_VALUES),)), ("holiday", object), ("dow", object)]
+    table = read_table(path, fields + [("embedding", np.float64, (dim,))] if dim else fields)
+    columns = None if table is None else _panel_columns(table, dim)
+    if columns is not None:
+        rows.close()
+        return AlignedPanel.from_columns(ticker, *columns)
     days: list[date] = []
     values = array("d")
     flags = array("q")
@@ -466,9 +491,25 @@ def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
         if holiday not in (0, 1) or not 0 <= dow <= 4:
             raise ParseError(f"{path}:{lineno}: holiday must be 0 or 1 and dow 0..4, got {holiday} and {dow}")
         flags.extend((holiday, dow))
-    width = len(PANEL_VALUES) + len(header) - len(PANEL_HEADER)
     return AlignedPanel.from_columns(
         ticker, days,
-        np.frombuffer(values, dtype=np.float64).reshape(-1, width),
+        np.frombuffer(values, dtype=np.float64).reshape(-1, len(PANEL_VALUES) + dim),
         np.frombuffer(flags, dtype=np.int64).reshape(-1, 2),
     )
+
+
+def _panel_columns(table: np.ndarray, dim: int) -> tuple[list[date], np.ndarray, np.ndarray] | None:
+    """The days, values and calendar of a `read_table` panel, or None where a row needs the line-by-line read."""
+    try:
+        days = list(map(date.fromisoformat, table["date"].tolist()))
+    except ValueError:
+        return None
+    # Each flag must be one ASCII digit; `int` also reads ' 1', '+1', '01' and '١'.
+    flags = np.stack([table["holiday"], table["dow"]], axis=1).astype(str)
+    if flags.dtype.itemsize != 4:
+        return None
+    calendar = flags.view(np.uint32).astype(np.int64) - ord("0")
+    if not ((calendar >= 0) & (calendar <= (1, 4))).all():
+        return None
+    values = np.concatenate([table["values"], table["embedding"]] if dim else [table["values"]], axis=1)
+    return days, values, calendar

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from datetime import date, timedelta
 
 import numpy as np
 
-from senticast.errors import ShapeError
+from senticast.errors import ParseError, ShapeError, ValidationError
+from senticast.fileio import read_csv
 from senticast.losses import DEFAULT_ALPHA, directional_weights
 from senticast.models import TftLite, TrainConfig
 from senticast.nn import Tensor
 from senticast.nn.autograd import NORM_EPS
-from senticast.text import AlignedPanel, PanelRow
+from senticast.text import PANEL_HEADER, PANEL_VALUES, AlignedPanel, PanelRow
 
 
 def dmse_loss(pred, truth, anchor: float, alpha: float = DEFAULT_ALPHA) -> float:
@@ -91,6 +93,81 @@ def mentions_several_oracle(body: str, tickers) -> bool:
         for t in sorted({t.upper() for t in tickers})
     ]
     return len([p for p in patterns if p.search(body)]) >= 2
+
+
+def clean_tweet_oracle(body: str) -> str:
+    """Every regex of the cleaning chain run on every body, whitespace collapsed by regex."""
+    text = re.sub(r"(?:https?://|www\.)\S+", " ", body, flags=re.IGNORECASE)
+    text = re.sub(r"@\w+", " ", text)
+    text = re.sub(r"\$[A-Za-z][A-Za-z0-9]*", " ", text)
+    text = re.sub(r"[^A-Za-z0-9\s]+", "", text)
+    return re.sub(r"\s+", " ", text).strip().lower()
+
+
+# The readers' line-by-line loops: each row through `read_csv`, checked in
+# file order, the first faulty line raising.  The numpy passes must return
+# the same bits or raise the same error.
+
+
+def read_panel_loop(path, ticker: str) -> AlignedPanel:
+    rows = read_csv(path)
+    _, header = next(rows)
+    if tuple(header[: len(PANEL_HEADER)]) != PANEL_HEADER:
+        raise ParseError(f"{path}:1: unexpected panel header")
+    days: list[date] = []
+    values = array("d")
+    flags = array("q")
+    for lineno, row in rows:
+        try:
+            values.extend(map(float, row[1:8] + row[len(PANEL_HEADER) :]))
+            days.append(date.fromisoformat(row[0]))
+            holiday, dow = int(row[8]), int(row[9])
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if holiday not in (0, 1) or not 0 <= dow <= 4:
+            raise ParseError(f"{path}:{lineno}: holiday must be 0 or 1 and dow 0..4, got {holiday} and {dow}")
+        flags.extend((holiday, dow))
+    width = len(PANEL_VALUES) + len(header) - len(PANEL_HEADER)
+    return AlignedPanel.from_columns(
+        ticker, days,
+        np.frombuffer(values, dtype=np.float64).reshape(-1, width),
+        np.frombuffer(flags, dtype=np.int64).reshape(-1, 2),
+    )
+
+
+def load_embeddings_loop(path) -> dict[str, np.ndarray]:
+    ids: dict[str, None] = {}
+    values = array("d")
+    rows = read_csv(path)
+    _, header = next(rows)
+    if not header or header[0].strip() != "tweet_id" or len(header) < 2:
+        raise ParseError(f"{path}:1: expected header tweet_id,v0,...")
+    for lineno, row in rows:
+        if row[0] in ids:
+            raise ParseError(f"{path}:{lineno}: duplicate tweet_id {row[0]!r}")
+        try:
+            vector = list(map(float, row[1:]))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(sum(vector)) and not all(map(math.isfinite, vector)):
+            raise ValidationError(f"{path}:{lineno}: non-finite embedding value")
+        ids[row[0]] = None
+        values.extend(vector)
+    return dict(zip(ids, np.frombuffer(values, dtype=np.float64).reshape(-1, len(header) - 1)))
+
+
+def read_predictions_loop(path) -> dict[str, tuple[list[float], list[float]]]:
+    grouped: dict[str, tuple[list[float], list[float]]] = {}
+    rows = read_csv(path)
+    next(rows)
+    for lineno, row in rows:
+        truths, preds = grouped.setdefault(row[1], ([], []))
+        try:
+            truths.append(float(row[3]))
+            preds.append(float(row[4]))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    return grouped
 
 
 def adam_reference(params, state: dict, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:

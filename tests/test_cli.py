@@ -218,6 +218,12 @@ class TestUsageErrors:
         assert main(["train", "--help"]) == EXIT_OK
         assert "--adam-eps" in capsys.readouterr().out
 
+    def test_parser_is_built_once_and_survives_a_usage_error(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        assert run("train", tmp_path / "out", "--no-such-flag", "1") == EXIT_VALIDATION
+        assert main(["train", "--help"]) == EXIT_OK
+        assert "--adam-eps" in capsys.readouterr().out
+
 
 class TestFullPipeline:
     def test_all_stages_produce_artifacts(self, tmp_path):
@@ -383,6 +389,16 @@ class TestKeyTableOnCli:
     def test_set_sets_field(self, dispatched, file_key, name, raw, attr, value):
         assert main(["train", "--config", FIXTURE_CONFIG, "--set", f"{name}={raw}"]) == EXIT_OK
         assert attrgetter(attr)(dispatched[0]) == value
+
+    def test_consecutive_calls_do_not_share_set_values(self, dispatched):
+        # The fixture's config has 3 epochs and dropout 0.1.
+        assert main(["train", "--config", FIXTURE_CONFIG, "--set", "epochs=5"]) == EXIT_OK
+        assert main(["train", "--config", FIXTURE_CONFIG, "--set", "dropout=0.5", "--set", "seed=3"]) == EXIT_OK
+        assert main(["train", "--config", FIXTURE_CONFIG]) == EXIT_OK
+        assert [(c.train.epochs, c.train.dropout, c.seed) for c in dispatched] == [(5, 0.1, 7), (3, 0.5, 3), (3, 0.1, 7)]
+        first = cli.build_parser().parse_args(["train", "--config", "a.cfg", "--set", "epochs=5"])
+        second = cli.build_parser().parse_args(["train", "--config", "a.cfg", "--set", "dropout=0.5"])
+        assert (first.extra, second.extra) == (["epochs=5"], ["dropout=0.5"])
 
     @pytest.mark.parametrize("source", ["file", "flag", "set"])
     @pytest.mark.parametrize("file_key, name, raw", MALFORMED_CASES, ids=MALFORMED_IDS)

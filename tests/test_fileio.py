@@ -5,12 +5,15 @@ from __future__ import annotations
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from senticast import cli, fileio, text
 from senticast.errors import ParseError, ValidationError
+from senticast.fileio import read_table
 from senticast.market import BusinessCalendar, parse_ohlcv_csv
 from senticast.text import load_embeddings_csv, load_tweets_csv, read_panel_csv
 
@@ -171,3 +174,83 @@ def test_malformed_panel_row_reports_its_first_fault_and_line(tmp_path, row, mes
     lines[2] = row
     with pytest.raises(ParseError, match=re.escape(f":3: {message}") + "$"):
         load(tmp_path, "panel", "\n".join(lines) + "\n")
+
+
+PREDICTIONS = """\
+date,ticker,step,truth,pred
+2021-01-05,AAA,1,10.5,10.25
+2021-01-05,BBB,1,20.0,19.5
+2021-01-06,AAA,2,11.0,10.75
+"""
+
+# The readers with a numpy pass: (module whose `read_csv` they call, reader, well-formed text).
+TABLE_READERS = {
+    "embeddings": (text, READERS["embeddings"][1], EMBEDDINGS),
+    "panel": (text, READERS["panel"][1], PANEL),
+    "predictions": (cli, cli._read_predictions, PREDICTIONS),
+}
+
+
+def rows_read_by_line(monkeypatch, module) -> list:
+    """Each `(lineno, fields)` that `module.read_csv` yields from now on."""
+    seen = []
+
+    def spy(path):
+        for item in fileio.read_csv(path):
+            seen.append(item)
+            yield item
+
+    monkeypatch.setattr(module, "read_csv", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_READERS))
+def test_well_formed_file_is_read_by_numpy_alone(tmp_path, monkeypatch, name):
+    module, read, body = TABLE_READERS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_text(body)
+    seen = rows_read_by_line(monkeypatch, module)
+    read(path)
+    assert [lineno for lineno, _ in seen] == [1]  # the header only
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_READERS))
+def test_header_only_file_reads_empty_without_a_warning(tmp_path, name):
+    module, read, body = TABLE_READERS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_text(body.splitlines()[0] + "\n\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = read(path)
+    assert caught == []
+    assert result == ({} if name != "panel" else ("T", [], [], []))
+
+
+@pytest.mark.parametrize("body", [
+    "h,v\n\"a\",1.0\n",  # a quoted text field
+    "h,v\na,\"1.0\"\n",  # a quoted number
+    "h,v\na,1.0\n   \n",  # a whitespace-only line
+    "h,v\na\x00,1.0\n",  # a NUL, which older csv modules refuse
+    "h,v\na,1_0\n",
+    "h,v\na,\u0661\n",
+    "h,v\na,1.0,2.0\n",
+    "h,v\na\n",
+    "h,v\n",
+], ids=["quoted-text", "quoted-number", "whitespace-line", "nul", "underscore", "arabic-digit", "extra", "missing",
+        "header-only"])
+def test_read_table_leaves_to_read_csv_what_it_cannot_frame_or_parse(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_bytes(body.encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert read_table(path, [("h", object), ("v", np.float64)]) is None
+    assert caught == []
+
+
+def test_read_table_keeps_text_fields_whole(tmp_path):
+    # An `object` field holds the whole text: a fixed `U10` would read the first one as 2021-01-05.
+    path = tmp_path / "t.csv"
+    path.write_text("\ufeffh,v\r\n2021-01-050,1e999\r\n\r\n x #,-0.0\r\n", newline="")
+    table = read_table(path, [("h", object), ("v", np.float64)])
+    assert table["h"].tolist() == ["2021-01-050", " x #"]
+    assert [float.hex(v) for v in table["v"].tolist()] == [float.hex(float("inf")), float.hex(-0.0)]

@@ -13,14 +13,18 @@ import pytest
 
 from conftest import (
     average_ranks_loop,
+    clean_tweet_oracle,
     dmse_oracle,
+    load_embeddings_loop,
     mentions_several_oracle,
+    read_panel_loop,
+    read_predictions_loop,
     spearman_oracle,
     welford_mean_loop,
 )
 from senticast.analysis import average_ranks, spearman
 from senticast.checkpoint import load_checkpoint, restore_model, save_checkpoint
-from senticast.cli import main
+from senticast.cli import _read_predictions, main
 from senticast.errors import AlignmentError
 from senticast.losses import dmse_loss_batch
 from senticast.market import BusinessCalendar, OhlcvBar, PriceSeries, smooth
@@ -35,6 +39,7 @@ from senticast.text import (
     align_panel,
     clean_tweet,
     filter_corpus,
+    load_embeddings_csv,
     load_tweets_csv,
     read_panel_csv,
     write_panel_csv,
@@ -563,3 +568,174 @@ def test_windows_sharing_rows_match_the_every_row_forward(case):
     oracle = model.forward_batch(windows.past, windows.known, windows.company).data
     shared = predict_windows(model, windows, chunk=chunk)
     assert np.max(np.abs(shared - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+# Characters where `\s`, IGNORECASE and `str.lower` could part ways: the
+# long s and the Kelvin sign match `s` and `k` under IGNORECASE, NBSP and
+# \x1c-\x1f are Unicode whitespace, and links come in mixed case.
+CLEAN_PIECES = [
+    "http://a.b", "HTTPS://x", "httpſ://y", "ftp://z", "://", "www.", "WwW.", "wWw.x/y", "ww.w", "w",
+    "@", "@user", "@ü", "$", "$AAPL", "$1", "$ſ", "\u212a", "\u017f", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\u2028", "\x85", " ", "\t", "\n", "\r", ".", "/", "!", "é", "A", "z", "0",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(CLEAN_PIECES) | st.text(max_size=3), max_size=12).map("".join))
+@example("Check $AAPL https://t.co/x @user!!")
+@example("see wWw.example.com/page\xa0now\x1c\x1f")
+def test_clean_tweet_matches_the_regex_chain(body):
+    assert clean_tweet(body) == clean_tweet_oracle(body)
+
+
+# The numpy readers against their line-by-line oracles.  Files come from
+# generated rows with up to three edits; each reader must return the
+# oracle's bits or raise the oracle's error with its message.
+
+ODD_FIELDS = [
+    "1_0", "\u0661", "+1", " 1", "1 ", "\xa01", "1.0", "01", "99999999999999999999", "-99999999999999999999",
+    "nan", "-nan", "inf", "-inf", "1e999", "2021-01-050", "2021-01-05", "", " ", "#", "1#", '"', "0", "1", "4", "5",
+]
+
+
+@st.composite
+def edited_csv(draw, lines, hot=()):
+    """`lines` (a header first) as file text after up to three edits, with LF or CRLF ends and maybe a BOM.
+
+    Half of the edits that pick a field pick one of the `hot` columns.
+    """
+    lines = [line.split(",") for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(
+            ["blank", "spaces", "quote", "quoted-newline", "hash", "missing", "extra", "field", "duplicate", "header-only"]
+        ))
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i]) - 1))
+        if hot and draw(st.booleans()):
+            j = min(draw(st.sampled_from(hot)), len(lines[i]) - 1)
+        if edit == "blank":
+            lines.insert(draw(st.integers(1, len(lines))), [""])
+        elif edit == "spaces":
+            lines.insert(draw(st.integers(1, len(lines))), ["  "])
+        elif edit == "quote":
+            lines[i][j] = f'"{lines[i][j]}"'
+        elif edit == "quoted-newline":
+            lines[i][j] = f'"{lines[i][j][:1]}\n{lines[i][j][1:]}"'
+        elif edit == "hash":
+            k = draw(st.integers(0, len(lines[i][j])))
+            lines[i][j] = lines[i][j][:k] + "#" + lines[i][j][k:]
+        elif edit == "missing" and len(lines[i]) > 1:
+            lines[i].pop()
+        elif edit == "extra":
+            lines[i].append("0")
+        elif edit == "field":
+            lines[i][j] = draw(st.sampled_from(ODD_FIELDS))
+        elif edit == "duplicate" and len(lines) > 2:
+            lines[i][0] = lines[draw(st.integers(1, len(lines) - 1))][0]
+        elif edit == "header-only":
+            lines = lines[:1]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(fields) for fields in lines) + draw(st.sampled_from(["", end]))
+    return "\ufeff" + text if draw(st.booleans()) else text
+
+
+def read_outcome(read, text: str):
+    """What `read` makes of a file holding `text`: its result, or the type and message of its error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            return read(path)
+        except Exception as exc:  # the error itself is the outcome compared
+            return type(exc), str(exc).replace(str(path), "data.csv")
+
+
+def float_bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def panel_lines(panel: AlignedPanel) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_panel_csv(Path(tmp) / "p.csv", panel)
+        return (Path(tmp) / "p.csv").read_text(encoding="utf-8").splitlines()
+
+
+PANEL_TEXT = "date,high,low,open,volume,close,score,score_raw,holiday,dow\n"
+
+
+def panel_bits(outcome):
+    if not isinstance(outcome, AlignedPanel):
+        return outcome
+    return (
+        outcome.ticker, outcome.days, outcome.values.shape, float_bits(outcome.values),
+        outcome.calendar.dtype, outcome.calendar.tolist(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(panels().flatmap(lambda panel: edited_csv(panel_lines(panel), hot=(0, 8, 9))))
+@example(PANEL_TEXT)
+@example(PANEL_TEXT + "2021-01-05,1,1,1,1,1,1,1_0,0,\u0661\n")
+@example(PANEL_TEXT + "2021-01-050,1,1,1,1,1,1,1,0,1\n")
+@example(PANEL_TEXT + "2021-01-05,1,1,1,1,1,1,1,0,5\n")
+@example(PANEL_TEXT + "2021-01-05,1,1,1,1,1,1,1,1.0,1\n")
+@example(PANEL_TEXT + "2021-01-05,1,1,1,1,1,1,1, 1,01\n")
+def test_panel_reader_matches_the_row_loop(text):
+    expected = panel_bits(read_outcome(lambda path: read_panel_loop(path, "TST"), text))
+    assert panel_bits(read_outcome(lambda path: read_panel_csv(path, "TST"), text)) == expected
+
+
+EMBEDDING_VALUES = FINITE.map(repr) | st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "0.5", "-0.0"])
+
+
+@st.composite
+def embedding_lines(draw):
+    dim = draw(st.integers(1, 3))
+    ids = st.text(st.sampled_from(list("ab1 #\u00e9")), min_size=1, max_size=3)
+    rows = [
+        ",".join([draw(ids), *(draw(EMBEDDING_VALUES) for _ in range(dim))])
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return ["tweet_id," + ",".join(f"v{i}" for i in range(dim)), *rows]
+
+
+def embedding_bits(outcome):
+    if not isinstance(outcome, dict):
+        return outcome
+    return [(key, row.shape, float_bits(row)) for key, row in outcome.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(embedding_lines().flatmap(edited_csv))
+@example("tweet_id,v0\n")
+@example("tweet_id,v0\n1,0.5\n1,0.7\n")
+@example('tweet_id,v0\n"1",0.5\n1,0.7\n')
+def test_embedding_reader_matches_the_row_loop(text):
+    assert embedding_bits(read_outcome(load_embeddings_csv, text)) == embedding_bits(read_outcome(load_embeddings_loop, text))
+
+
+@st.composite
+def prediction_lines(draw):
+    extra = draw(st.integers(0, 1))
+    rows = [
+        ",".join([
+            "2021-01-05", draw(st.sampled_from(["AAA", "BBB", "c c", "\u00e9"])), str(draw(st.integers(1, 3))),
+            draw(EMBEDDING_VALUES), draw(EMBEDDING_VALUES), *(["x"] * extra),
+        ])
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    return [",".join(["date", "ticker", "step", "truth", "pred", *(["note"] * extra)]), *rows]
+
+
+def prediction_bits(outcome):
+    if not isinstance(outcome, dict):
+        return outcome
+    return [(key, float_bits(truths), float_bits(preds)) for key, (truths, preds) in outcome.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(prediction_lines().flatmap(edited_csv))
+@example("date,ticker,step,truth,pred\n")
+@example("date,ticker,step,truth,pred\n2021-01-05,AAA,1,1_0,+1\n2021-01-05,\"AAA\",1,1,1\n")
+def test_prediction_reader_matches_the_row_loop(text):
+    assert prediction_bits(read_outcome(_read_predictions, text)) == prediction_bits(read_outcome(read_predictions_loop, text))
