@@ -33,9 +33,8 @@ from .errors import (
 )
 from .fileio import read_csv, read_table, write_atomic
 from .metrics import compute_metrics, composite_rank
-from .models import naive_seasonal_forecast
 from .training import grid_search, predict_windows, train_model
-from .windows import FeatureSetSpec, build_windows, windows_from_normalizer
+from .windows import FeatureSetSpec, Windows, build_windows, windows_from_normalizer
 
 log = logging.getLogger("senticast")
 
@@ -287,6 +286,42 @@ def cmd_train(config: RunConfig, artifacts: Artifacts) -> None:
     log.info("train: %s on %d windows, %d epochs", config.model, len(train), config.train.epochs)
 
 
+def write_predictions(
+    model_path: Path, naive_path: Path, test: Windows, closes: np.ndarray, pred: np.ndarray, tickers: Sequence[str]
+) -> int:
+    """Write the model's and the naive baseline's forecast files; returns the rows in each.
+
+    One row per (window, step): the target day, the ticker, the step, the raw
+    close on that day and the forecast.  The naive forecast repeats the
+    window's last observed close (`closes[test.ends]`) over the horizon.
+    Each target row's day and close are formatted once, however many windows
+    forecast it.
+    """
+    target, inverse = np.unique(test.ahead.ravel(), return_inverse=True)
+    days = [day.isoformat() for day in test.days[target].tolist()]
+    truths = list(map(repr, closes[target].tolist()))
+    ticker_fields = [_csv_field(ticker) for ticker in tickers]
+    steps = [str(step) for step in range(1, test.horizon + 1)] * len(test)
+    companies = np.repeat(test.company, test.horizon).tolist()
+    heads = [
+        f"{days[r]},{ticker_fields[c]},{step},{truths[r]},"
+        for r, c, step in zip(inverse.tolist(), companies, steps)
+    ]
+    anchors = [anchor for anchor in map(repr, closes[test.ends].tolist()) for _ in range(test.horizon)]
+    header = "date,ticker,step,truth,pred\n"
+    write_atomic(model_path, header + "".join([f"{head}{p!r}\n" for head, p in zip(heads, pred.ravel().tolist())]))
+    write_atomic(naive_path, header + "".join([f"{head}{a}\n" for head, a in zip(heads, anchors)]))
+    return len(heads)
+
+
+def _csv_field(value: str) -> str:
+    """`value` as `write_csv` writes it inside a row, quoted where it needs to be."""
+    buffer = io.StringIO()
+    # A lone empty field is written as "", so a second field follows it.
+    csv.writer(buffer, lineterminator="\n").writerow([value, ""])
+    return buffer.getvalue()[:-2]
+
+
 def cmd_predict(config: RunConfig, artifacts: Artifacts) -> None:
     checkpoint = load_checkpoint(require(artifacts.checkpoint))
     model = restore_model(checkpoint)
@@ -303,25 +338,10 @@ def cmd_predict(config: RunConfig, artifacts: Artifacts) -> None:
     predictions = predict_windows(model, test)
     # Raw closes in the windows' row order: the panels stacked end to end.
     closes = np.concatenate([panel.values[:, text.PANEL_VALUES.index("close")] for panel in panels])
-    truths, anchors = closes[test.ahead].tolist(), closes[test.ends].tolist()
-    tickers = checkpoint.normalizer.tickers
     pred = checkpoint.normalizer.denormalize_close(test.company, predictions)
-    target_days = test.target_days
-
-    model_rows, naive_rows = [], []
-    for i, company in enumerate(test.company.tolist()):
-        ticker = tickers[company]
-        naive = naive_seasonal_forecast([anchors[i]], test.horizon)
-        for step, (day, truth) in enumerate(zip(target_days[i], truths[i]), start=1):
-            model_rows.append(
-                [day.isoformat(), ticker, str(step), repr(truth), repr(float(pred[i, step - 1]))]
-            )
-            naive_rows.append(
-                [day.isoformat(), ticker, str(step), repr(truth), repr(naive[step - 1])]
-            )
-    header = ["date", "ticker", "step", "truth", "pred"]
-    write_csv(artifacts.predictions, header, model_rows)
-    write_csv(artifacts.predictions_naive, header, naive_rows)
+    rows = write_predictions(
+        artifacts.predictions, artifacts.predictions_naive, test, closes, pred, checkpoint.normalizer.tickers
+    )
     write_json(
         artifacts.predict_meta,
         {
@@ -330,7 +350,7 @@ def cmd_predict(config: RunConfig, artifacts: Artifacts) -> None:
             "horizon": checkpoint.config.horizon,
         },
     )
-    log.info("predict: %d rows over %d windows", len(model_rows), len(test))
+    log.info("predict: %d rows over %d windows", rows, len(test))
 
 
 def _read_predictions(path: Path) -> dict[str, tuple[list[float], list[float]]]:

@@ -1,13 +1,12 @@
-"""The three forecasters: persistence baseline, NLinear, and TFT-lite."""
+"""The trained forecasters, NLinear and TFT-lite (`cli.write_predictions` writes the persistence baseline)."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, ShapeError
 from .nn.autograd import Parameter, Tensor, concat
 from .nn.blocks import GatedResidualNetwork, LstmEncoder, MultiHeadAttention, VariableSelection
 from .nn.layers import Linear, Module
@@ -81,15 +80,6 @@ class TrainConfig:
         cfg = replace(cls(), **data)
         cfg.validate()
         return cfg
-
-
-def naive_seasonal_forecast(history: Sequence[float], horizon: int) -> list[float]:
-    """Persistence: repeat the last observed value over the horizon."""
-    if len(history) == 0:
-        raise ValidationError("naive forecast needs a nonempty history")
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    return [float(history[-1])] * horizon
 
 
 class NLinear(Module):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, field, replace
@@ -20,6 +22,30 @@ log = logging.getLogger(__name__)
 
 MODEL_KINDS = ("nlinear", "tft_lite")
 LOSSES = ("dmse", "mse")
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+@functools.cache
+def _keep_freed_memory_mapped() -> None:
+    """Ask glibc to keep freed heap mapped instead of returning it to the OS.
+
+    A training step or a forecast chunk frees arrays of a few MB that the
+    next one allocates again.  By default glibc serves each from a fresh
+    mmap, or trims the heap top once it is free, and the next step faults
+    every page back in.  Arrays under 32 MiB (glibc's largest mmap
+    threshold) come from the heap, and its top is trimmed only past 64 MiB
+    free.  A C library without `mallopt`, or one that refuses the first
+    setting, is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(M_MMAP_THRESHOLD, 32 * 2**20):
+        mallopt(M_TRIM_THRESHOLD, 64 * 2**20)
 
 
 def stack_windows(windows: Windows) -> Windows:
@@ -50,6 +76,7 @@ def train_model(
     model's parameters are packed into one `ParamArena` for the fit and stay
     views into its value and gradient vectors afterwards.
     """
+    _keep_freed_memory_mapped()
     config.validate()
     if loss not in LOSSES:
         raise ConfigError(f"loss must be one of {LOSSES}, got {loss!r}")
@@ -94,6 +121,7 @@ def train_model(
 
 def predict_windows(model, windows: Windows, chunk: int = 512) -> np.ndarray:
     """Eval-mode predictions, (n_windows, horizon), in normalized units."""
+    _keep_freed_memory_mapped()
     windows = stack_windows(windows)
     outputs = []
     with no_grad():

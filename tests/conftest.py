@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 from array import array
@@ -168,6 +169,27 @@ def read_predictions_loop(path) -> dict[str, tuple[list[float], list[float]]]:
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return grouped
+
+
+def write_predictions_loop(model_path, naive_path, test, closes, pred, tickers) -> int:
+    """Both prediction files as one row list each, a row per (window, step), through `csv.writer`."""
+    truths, anchors = closes[test.ahead].tolist(), closes[test.ends].tolist()
+    target_days = test.target_days
+    model_rows, naive_rows = [], []
+    for i, company in enumerate(test.company.tolist()):
+        ticker = tickers[company]
+        naive = [float(anchors[i])] * test.horizon
+        for step, (day, truth) in enumerate(zip(target_days[i], truths[i]), start=1):
+            model_rows.append(
+                [day.isoformat(), ticker, str(step), repr(truth), repr(float(pred[i, step - 1]))]
+            )
+            naive_rows.append([day.isoformat(), ticker, str(step), repr(truth), repr(naive[step - 1])])
+    for path, rows in ((model_path, model_rows), (naive_path, naive_rows)):
+        with open(path, "w", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["date", "ticker", "step", "truth", "pred"])
+            writer.writerows(rows)
+    return len(model_rows)
 
 
 def adam_reference(params, state: dict, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> None:

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import INVALID_TRAIN_CASES, INVALID_TRAIN_IDS, causal_mask, vsn_composed
 from gradcheck import gradcheck
-from senticast.errors import ConfigError, ShapeError, ValidationError
-from senticast.models import NLinear, TftLite, TrainConfig, naive_seasonal_forecast
+from senticast.errors import ConfigError, ShapeError
+from senticast.models import NLinear, TftLite, TrainConfig
 from senticast.nn import Tensor, no_grad
 from senticast.windows import CLOSE_COLUMN
 
@@ -48,22 +48,6 @@ class TestTrainConfig:
     def test_out_of_range_value_rejected(self, name, raw):
         with pytest.raises(ConfigError, match=name):
             TrainConfig(**{name: float(raw)}).validate()
-
-
-class TestNaiveSeasonal:
-    def test_repeats_last_value(self):
-        assert naive_seasonal_forecast([1.0, 3.0, 7.5], 3) == [7.5, 7.5, 7.5]
-
-    def test_single_step(self):
-        assert naive_seasonal_forecast([2.0], 1) == [2.0]
-
-    def test_constant_history_has_zero_error_vs_constant_future(self):
-        pred = naive_seasonal_forecast([4.0] * 10, 5)
-        assert pred == [4.0] * 5
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValidationError):
-            naive_seasonal_forecast([], 3)
 
 
 class TestNLinear:

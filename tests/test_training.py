@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from datetime import date, timedelta
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import latent_sentiment_panels
+from senticast import training
 from senticast.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from senticast.errors import ConfigError, ValidationError
 from senticast.losses import dmse_loss_batch
@@ -171,6 +178,93 @@ class TestTrainingStepFootprint:
             past_rows=batch.past_rows,
         )
         assert graph_nodes(dmse_loss_batch(pred, batch.target, batch.anchor, cfg.dmse_alpha)) <= 242
+
+
+def second_call_minor_faults(setup: str, call: str) -> int:
+    """Minor page faults of the second of two `call`s after `setup`, in a fresh interpreter.
+
+    A fresh process, so that the allocator's state owes nothing to the tests run before.
+    """
+    tests = Path(__file__).resolve().parent
+    code = "\n".join([
+        "import resource", setup, call,
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt", call,
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout)
+
+
+FORECAST_CHUNK = """
+import numpy as np
+from senticast.models import TftLite, TrainConfig
+from senticast.training import predict_windows
+from senticast.windows import Windows
+rng = np.random.default_rng(0)
+company = np.repeat(np.arange(8), 64)
+ends = company * 81 + np.tile(np.arange(14, 78), 8)
+windows = Windows(rng.normal(size=(648, 21)), np.zeros((648, 6)), np.zeros(648), ends, company, 15, 3)
+model = TftLite(TrainConfig(hidden_size=16, n_heads=4, hidden_continuous_size=8, dropout=0.0), 21, 8, rng)
+"""
+
+C09_FIT = """
+from dataclasses import replace
+from test_training import c09_hlove
+from senticast.training import train_model
+train, cfg = c09_hlove()
+cfg = replace(cfg, epochs=3)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the setting is glibc's mallopt")
+class TestFreedMemoryStaysMapped:
+    # Without the allocator setting, glibc unmaps or trims what a chunk or a
+    # step frees and the next one faults it back in: 999 faults for the
+    # forecast chunk and 8.6k-11.8k for the fit, against 11 and 0-7.
+    def test_forecast_chunk(self):
+        faults = second_call_minor_faults(FORECAST_CHUNK, "predict_windows(model, windows)")
+        assert faults <= 200, f"{faults} minor faults in a 512-window forecast"
+
+    def test_c09_hlove_fit(self):
+        faults = second_call_minor_faults(C09_FIT, 'train_model("tft_lite", train, cfg)')
+        assert faults <= 2000, f"{faults} minor faults in a 3-epoch HLOVE fit"
+
+
+class TestAllocatorSetting:
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """Stands in for the C library; the setting is made again on the first call after the test."""
+        def load(**symbols):
+            monkeypatch.setattr(training.ctypes, "CDLL", lambda name: SimpleNamespace(**symbols))
+            training._keep_freed_memory_mapped.cache_clear()
+        yield load
+        training._keep_freed_memory_mapped.cache_clear()
+
+    def fit(self):
+        train, _, _ = build_windows([linear_panel()], FeatureSetSpec("HLOV"), 15, 3, 1.0)
+        return train_model("nlinear", train, TrainConfig(epochs=1, seed=0))
+
+    def test_runs_without_mallopt(self, libc):
+        libc()
+        model, curve = self.fit()
+        assert len(curve) == 1 and np.isfinite(curve[0])
+
+    @pytest.mark.parametrize("accepted, calls", [(1, 2), (0, 1)])
+    def test_set_once_per_process(self, libc, accepted, calls):
+        made = []
+
+        def mallopt(param, value):
+            made.append((param, value))
+            return accepted
+
+        libc(mallopt=mallopt)
+        model, _ = self.fit()
+        self.fit()
+        train, _, _ = build_windows([linear_panel()], FeatureSetSpec("HLOV"), 15, 3, 1.0)
+        predict_windows(model, train)
+        assert made == [(training.M_MMAP_THRESHOLD, 32 * 2**20), (training.M_TRIM_THRESHOLD, 64 * 2**20)][:calls]
 
 
 class TestGridSearch:

@@ -76,6 +76,13 @@ class TestBuildWindows:
             train, test, _ = build_windows([panel], FeatureSetSpec("HLOV"), L, h, split=1.0)
             assert len(train) == T - L - h + 1
 
+    @pytest.mark.parametrize("lookback, horizon", [(0, 3), (15, 0)])
+    def test_empty_history_or_horizon_rejected(self, lookback, horizon):
+        # Every window has an observed row to repeat as the naive forecast.
+        panel = make_panel("AAA", list(np.linspace(50, 80, 40)))
+        with pytest.raises(ValidationError, match="lookback and horizon must be >= 1"):
+            build_windows([panel], FeatureSetSpec("HLOV"), lookback, horizon, split=1.0)
+
     def test_hlovs_has_six_feature_columns(self):
         panel = make_panel("AAA", list(np.linspace(50, 80, 40)))
         train, _, _ = build_windows([panel], FeatureSetSpec("HLOVS"), 15, 3, split=1.0)
