@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import os
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Iterator
@@ -70,14 +69,18 @@ def read_table(path: Path | str, dtype):
     return table
 
 
-def write_atomic(path: Path | str, text: str) -> None:
-    """Write `text` to a temp file beside `path`, then rename it over `path`."""
+def write_atomic(path: Path | str, data: str | bytes) -> None:
+    """Write `data` (text as UTF-8) to a temp file beside `path`, then rename it over `path`.
+
+    The file gets the mode a plain `open` gives: 0o666 less the umask.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -8,8 +8,10 @@ data into gap-free per-ticker panels.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
+import os
 import re
 from array import array
 from bisect import bisect_right
@@ -31,6 +33,7 @@ _NON_ALNUM_RE = re.compile(r"[^A-Za-z0-9\s]+")
 
 PANEL_HEADER = ("date", "high", "low", "open", "volume", "close", "score", "score_raw", "holiday", "dow")
 PANEL_VALUES = PANEL_HEADER[1:8]  # the float columns of AlignedPanel.values ahead of the embedding
+SIDECAR_TAG = b"senticast-panel1"  # the format of the `<panel>.csv.npy` files `write_panel_csv` writes
 
 
 @dataclass
@@ -448,25 +451,42 @@ def attach_embeddings(tweets: Sequence[TweetRecord], vectors: dict[str, np.ndarr
 
 
 def write_panel_csv(path: Path | str, panel: AlignedPanel) -> None:
+    """Write the panel as CSV, then its sidecar beside it (see `read_panel_csv`), each file atomically."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow([*PANEL_HEADER, *(f"e{i}" for i in range(panel.embedding_dim))])
     for day, values, flags in zip(panel.days, panel.values.tolist(), panel.calendar.tolist()):
         floats = list(map(repr, values))
         writer.writerow([day.isoformat(), *floats[: len(PANEL_VALUES)], *map(str, flags), *floats[len(PANEL_VALUES) :]])
-    write_atomic(path, buffer.getvalue())
+    data = buffer.getvalue().encode("utf-8")
+    write_atomic(path, data)
+    record = np.zeros((), _sidecar_dtype(*panel.values.shape))
+    record["tag"], record["sha256"] = SIDECAR_TAG, hashlib.sha256(data).hexdigest().encode()
+    record["days"] = [day.toordinal() for day in panel.days]
+    record["values"] = panel.values
+    record["values"][np.isnan(panel.values)] = np.nan  # `repr` writes each NaN as `nan`, whatever its sign and payload
+    record["calendar"] = panel.calendar
+    sidecar = io.BytesIO()
+    np.save(sidecar, record)
+    write_atomic(_sidecar_path(path), sidecar.getvalue())
 
 
 def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
     """Read a `write_panel_csv` file into columns.
 
-    One numpy pass reads a well-formed file.  Any other file goes line by
-    line, where a row's fields are checked in this order and the first
-    fault names its file line: high..score_raw, the embedding, the date,
-    holiday, dow, then the calendar's range (holiday 0 or 1, dow 0..4 for
-    Mon..Fri).
+    The columns come from the CSV's sidecar when it is a `.npy` record of
+    `_sidecar_dtype` tagged SIDECAR_TAG that holds the sha256 of the CSV's
+    bytes and a calendar in range; the CSV stays the artifact of record, so
+    an edited or rewritten CSV is read from its text.  One numpy pass reads
+    a well-formed file.  Any other file goes line by line, where a row's
+    fields are checked in this order and the first fault names its file
+    line: high..score_raw, the embedding, the date, holiday, dow, then the
+    calendar's range (holiday 0 or 1, dow 0..4 for Mon..Fri).
     """
     path = Path(path)
+    columns = _sidecar_columns(path)
+    if columns is not None:
+        return AlignedPanel.from_columns(ticker, *columns)
     rows = read_csv(path)
     _, header = next(rows)
     if tuple(header[: len(PANEL_HEADER)]) != PANEL_HEADER:
@@ -509,7 +529,49 @@ def _panel_columns(table: np.ndarray, dim: int) -> tuple[list[date], np.ndarray,
     if flags.dtype.itemsize != 4:
         return None
     calendar = flags.view(np.uint32).astype(np.int64) - ord("0")
-    if not ((calendar >= 0) & (calendar <= (1, 4))).all():
+    if not _calendar_in_range(calendar):
         return None
     values = np.concatenate([table["values"], table["embedding"]] if dim else [table["values"]], axis=1)
     return days, values, calendar
+
+
+def _sidecar_path(path: Path | str) -> Path:
+    path = Path(path)
+    return path.with_name(path.name + ".npy")
+
+
+def _sidecar_dtype(rows: int, width: int) -> np.dtype:
+    """One record: the tag, the CSV's sha256 in hex, the days as ordinals, the values and the calendar."""
+    return np.dtype([
+        ("tag", "S16"), ("sha256", "S64"), ("days", np.int64, (rows,)),
+        ("values", np.float64, (rows, width)), ("calendar", np.int64, (rows, 2)),
+    ])
+
+
+def _sidecar_columns(path: Path) -> tuple[list[date], np.ndarray, np.ndarray] | None:
+    """The days, values and calendar in the sidecar of the CSV at `path`, or None where the CSV must be read.
+
+    The header and the file size are checked before any data is read, and
+    the dtype holds no objects, so nothing is unpickled.
+    """
+    try:
+        with open(_sidecar_path(path), "rb") as handle:
+            if np.lib.format.read_magic(handle) != (1, 0):
+                return None
+            shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
+            rows, width = dtype["values"].shape
+            size = handle.tell() + dtype.itemsize
+            if shape != () or dtype != _sidecar_dtype(rows, width) or os.fstat(handle.fileno()).st_size != size:
+                return None
+            record = np.fromfile(handle, dtype, count=1)[0]
+        digest = hashlib.sha256(path.read_bytes()).hexdigest().encode()
+        if record["tag"] != SIDECAR_TAG or record["sha256"] != digest or not _calendar_in_range(record["calendar"]):
+            return None
+        return list(map(date.fromordinal, record["days"].tolist())), record["values"], record["calendar"]
+    except (OSError, KeyError, ValueError, OverflowError):
+        return None
+
+
+def _calendar_in_range(calendar: np.ndarray) -> bool:
+    """Holiday 0 or 1 and dow 0..4 in every row."""
+    return bool(((calendar >= 0) & (calendar <= (1, 4))).all())

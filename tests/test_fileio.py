@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -141,6 +143,28 @@ def test_embeddings_are_read_only_rows_of_one_matrix(tmp_path):
         rows[0][0] = 1.0
 
 
+def test_write_atomic_writes_text_as_utf8_and_bytes_as_given(tmp_path):
+    fileio.write_atomic(tmp_path / "a.txt", "caf\u00e9\r\n")
+    fileio.write_atomic(tmp_path / "b.bin", b"\x93NUMPY\x00\r\n")
+    assert (tmp_path / "a.txt").read_bytes() == "caf\u00e9\r\n".encode("utf-8")
+    assert (tmp_path / "b.bin").read_bytes() == b"\x93NUMPY\x00\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.bin"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_write_atomic_gives_the_mode_a_plain_open_gives(tmp_path, umask):
+    before = os.umask(umask)
+    try:
+        fileio.write_atomic(tmp_path / "atomic.csv", "x\n")
+        with open(tmp_path / "plain.csv", "w") as handle:
+            handle.write("x\n")
+    finally:
+        os.umask(before)
+    mode = stat.S_IMODE((tmp_path / "atomic.csv").stat().st_mode)
+    assert mode == 0o666 & ~umask
+    assert mode == stat.S_IMODE((tmp_path / "plain.csv").stat().st_mode)
+
+
 def test_fileio_imports_no_numpy():
     code = "import sys, senticast.fileio; print('numpy' in sys.modules)"
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -148,7 +172,7 @@ def test_fileio_imports_no_numpy():
     assert out.stdout.strip() == "False", out.stderr
 
 
-@pytest.mark.parametrize("row, message", [
+malformed_panel_rows = pytest.mark.parametrize("row, message", [
     ("2021-01-05,12.0,abc,10.5,1200.0,11.0,0.6,0.7,0,1,-0.1,0.0,0.25", "could not convert string to float: 'abc'"),
     ("2021-01-05,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,0,1,-0.1,x,0.25", "could not convert string to float: 'x'"),
     ("2021-01-32,12.0,10.0,10.5,1200.0,11.0,0.6,0.7,0,1,-0.1,0.0,0.25", "day is out of range for month"),
@@ -169,10 +193,25 @@ def test_fileio_imports_no_numpy():
 ], ids=["value", "embedding", "date", "holiday", "dow",
         "value-embedding", "embedding-date", "date-holiday", "holiday-dow",
         "holiday-2", "dow-minus-1", "dow-5", "holiday-range-dow"])
+
+
+@malformed_panel_rows
 def test_malformed_panel_row_reports_its_first_fault_and_line(tmp_path, row, message):
     lines = PANEL.splitlines()
     lines[2] = row
     with pytest.raises(ParseError, match=re.escape(f":3: {message}") + "$"):
+        load(tmp_path, "panel", "\n".join(lines) + "\n")
+
+
+@malformed_panel_rows
+def test_malformed_panel_row_beside_a_stale_sidecar_reports_the_same_fault(tmp_path, row, message):
+    path = tmp_path / "panel.csv"
+    path.write_text(PANEL)
+    text.write_panel_csv(path, read_panel_csv(path, "T"))
+    assert (tmp_path / "panel.csv.npy").exists()
+    lines = PANEL.splitlines()
+    lines[2] = row
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: {message}") + "$"):
         load(tmp_path, "panel", "\n".join(lines) + "\n")
 
 

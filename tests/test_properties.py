@@ -7,6 +7,7 @@ import math
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,17 +109,24 @@ MONDAY = date(2021, 1, 4)
 CAL = BusinessCalendar([date(2021, 1, 13), date(2021, 1, 20)])
 
 
+# NaN with its sign bit set, NaN with a payload, and a signalling NaN, beside the infinities and -0.0.
+SPECIAL = st.sampled_from(
+    np.array([0xFFF8000000000000, 0x7FF8000000000001, 0x7FF4000000000000], dtype=np.uint64).view(np.float64).tolist()
+    + [math.nan, math.inf, -math.inf, -0.0]
+)
+
+
 @st.composite
-def panels(draw):
+def panels(draw, floats=FINITE):
     dim = draw(st.integers(0, 3))
     as_numpy = draw(st.booleans())  # numpy-scalar floats must be written as plain floats
     days = CAL.days_between(MONDAY, MONDAY + timedelta(days=draw(st.integers(0, 20))))
     rows = []
     for day in days:
-        values = [draw(FINITE) for _ in range(7)]
+        values = [draw(floats) for _ in range(7)]
         if as_numpy:
             values = [np.float64(v) for v in values]
-        embedding = [draw(FINITE) for _ in range(dim)] if dim else None
+        embedding = [draw(floats) for _ in range(dim)] if dim else None
         rows.append(PanelRow(day, *values, embedding, draw(st.integers(0, 1)), day.weekday()))
     return AlignedPanel("TST", rows, dim)
 
@@ -637,6 +645,23 @@ def edited_csv(draw, lines, hot=()):
     end = draw(st.sampled_from(["\n", "\r\n"]))
     text = end.join(",".join(fields) for fields in lines) + draw(st.sampled_from(["", end]))
     return "\ufeff" + text if draw(st.booleans()) else text
+
+
+@settings(max_examples=50, deadline=None)
+@given(panels(FINITE | SPECIAL))
+@example(AlignedPanel("TST", [], 2))  # a header-only CSV
+def test_panel_sidecar_read_equals_the_csv_read(panel):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, text_only = Path(tmp) / "a.csv", Path(tmp) / "text" / "a.csv"
+        write_panel_csv(path, panel)
+        text_only.parent.mkdir()
+        text_only.write_bytes(path.read_bytes())
+        with mock.patch("senticast.text.read_csv", side_effect=AssertionError("the CSV was parsed")):
+            from_sidecar = read_panel_csv(path, panel.ticker)
+        from_text = read_panel_csv(text_only, panel.ticker)
+    assert from_sidecar.days == from_text.days
+    for a, b in ((from_sidecar.values, from_text.values), (from_sidecar.calendar, from_text.calendar)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def read_outcome(read, text: str):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import io
+import pickle
 import re
+import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from datetime import date, datetime
 
@@ -9,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import latent_sentiment_panels
+from senticast import text
 from senticast.errors import AlignmentError, NoObservations, ParseError, ValidationError
 from senticast.market import BusinessCalendar, OhlcvBar, PriceSeries
 from senticast.text import (
@@ -365,17 +370,21 @@ class TestPanelRoundTrip:
         with pytest.raises(RuntimeError, match="disk went away"):
             write_panel_csv(path, broken)
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv", "panel.csv.npy"]
+        assert panel_bits(read_panel_csv(path, panel.ticker)) == panel_bits(panel)
 
 
 class TestPanelFootprint:
-    def test_reading_eight_long_hlove_panels_peak_memory(self, tmp_path):
-        # The forecast benchmark's inputs: 8 tickers x 1,000 days with 16
-        # embedding columns, 1.5 MB of float64.  Read as columns, 1.9 MiB of
-        # traced allocations; as one object per row, 7.2 MiB.
+    # The forecast benchmark's inputs: 8 tickers x 1,000 days with 16
+    # embedding columns, 1.5 MB of float64.  Read as columns, 2.3 MiB of
+    # traced allocations from the sidecars and 2.1 MiB from the text; as
+    # one object per row, 7.2 MiB.
+    def peak_reading_eight_long_hlove_panels(self, tmp_path, sidecars: bool) -> int:
         panels = latent_sentiment_panels(0, n_companies=8, length=1000, embed_dim=16)
         for panel in panels:
             write_panel_csv(tmp_path / f"{panel.ticker}.csv", panel)
+            if not sidecars:
+                sidecar(tmp_path / f"{panel.ticker}.csv").unlink()
         read_panel_csv(tmp_path / f"{panels[0].ticker}.csv", panels[0].ticker)  # first-call allocations stay out
         tracemalloc.start()
         try:
@@ -383,8 +392,179 @@ class TestPanelFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert [panel_bits(p) for p in loaded] == [panel_bits(p) for p in panels]
+        return peak
+
+    def test_reading_eight_long_hlove_panels_peak_memory(self, tmp_path):
+        peak = self.peak_reading_eight_long_hlove_panels(tmp_path, sidecars=True)
         assert peak <= 3 * 2**20, f"{peak / 2**20:.2f} MiB against 3 MiB"
-        assert [len(p.rows) for p in loaded] == [1000] * 8
+
+    def test_reading_eight_long_hlove_panels_from_text_peak_memory(self, tmp_path):
+        peak = self.peak_reading_eight_long_hlove_panels(tmp_path, sidecars=False)
+        assert peak <= 3 * 2**20, f"{peak / 2**20:.2f} MiB against 3 MiB"
+
+
+def sidecar(path):
+    return path.with_name(path.name + ".npy")
+
+
+def panel_bits(panel: AlignedPanel):
+    """Everything a panel holds, bit for bit."""
+    return (
+        panel.ticker, panel.days, panel.values.dtype, panel.values.shape, panel.values.tobytes(),
+        panel.calendar.dtype, panel.calendar.shape, panel.calendar.tobytes(),
+    )
+
+
+def read_text_only(path, ticker):
+    """`read_panel_csv` of a copy of the CSV without its sidecar."""
+    copy = path.parent / "text-only" / path.name
+    copy.parent.mkdir(exist_ok=True)
+    copy.write_bytes(path.read_bytes())
+    return read_panel_csv(copy, ticker)
+
+
+def edit_sidecar(path, **fields):
+    """Rewrite the sidecar beside `path` with some of its fields replaced."""
+    record = np.load(sidecar(path))
+    for name, value in fields.items():
+        record[name] = value
+    np.save(sidecar(path), record)
+
+
+def _tripped():
+    raise AssertionError("the sidecar was unpickled")
+
+
+class Tripwire:
+    def __reduce__(self):
+        return _tripped, ()
+
+
+class TestPanelSidecar:
+    @pytest.fixture
+    def written(self, tmp_path):
+        panel = latent_sentiment_panels(3, n_companies=1, length=40, embed_dim=4)[0]
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, panel)
+        return path, panel
+
+    def test_written_panel_is_read_from_its_sidecar_alone(self, written, monkeypatch):
+        path, panel = written
+        expected = panel_bits(read_text_only(path, panel.ticker))
+        for name in ("read_csv", "read_table"):
+            monkeypatch.setattr(text, name, lambda *args, **kwargs: pytest.fail("the CSV was parsed"))
+        loaded = read_panel_csv(path, panel.ticker)
+        assert panel_bits(loaded) == expected == panel_bits(panel)
+        assert not loaded.values.flags.writeable and not loaded.calendar.flags.writeable
+
+    def test_csv_with_one_digit_changed_is_read_from_its_text(self, written):
+        path, panel = written
+        data = path.read_bytes()
+        at = data.index(b",", data.index(b"\n") + 1) + 1  # the first digit of the first row's high
+        assert data[at : at + 1].isdigit()
+        path.write_bytes(data[:at] + str((int(data[at : at + 1]) + 1) % 10).encode() + data[at + 1 :])
+        loaded = read_panel_csv(path, panel.ticker)
+        assert loaded.values[0, 0] != panel.values[0, 0]
+        assert panel_bits(loaded) == panel_bits(read_text_only(path, panel.ticker))
+
+    def test_rewritten_csv_beside_an_old_sidecar_is_read_from_its_text(self, written):
+        # A write that died between the CSV and its sidecar leaves the old sidecar.
+        path, panel = written
+        old = sidecar(path).read_bytes()
+        other = latent_sentiment_panels(4, n_companies=1, length=40, embed_dim=4)[0]
+        write_panel_csv(path, other)
+        sidecar(path).write_bytes(old)
+        assert panel_bits(read_panel_csv(path, other.ticker)) == panel_bits(other)
+
+    @pytest.mark.parametrize("breakage", [
+        "empty", "truncated-header", "truncated-data", "trailing-byte", "wrong-tag", "wrong-shape",
+        "other-panel", "object-array", "pickle", "npz",
+    ])
+    def test_broken_or_foreign_sidecar_falls_back_without_a_warning(self, written, breakage):
+        path, panel = written
+        data = sidecar(path).read_bytes()
+        record = np.load(sidecar(path))
+        moved = record["values"] + 1.0  # what a wrongly used sidecar would show
+        if breakage == "empty":
+            sidecar(path).write_bytes(b"")
+        elif breakage == "truncated-header":
+            sidecar(path).write_bytes(data[:100])
+        elif breakage == "truncated-data":
+            sidecar(path).write_bytes(data[:-8])
+        elif breakage == "trailing-byte":
+            sidecar(path).write_bytes(data + b"\x00")
+        elif breakage == "wrong-tag":
+            edit_sidecar(path, tag=b"senticast-panel0", values=moved)
+        elif breakage == "wrong-shape":
+            rows, width = panel.values.shape  # days and calendar for one row fewer than the values
+            foreign = np.zeros((), [("tag", "S16"), ("sha256", "S64"), ("days", np.int64, (rows - 1,)),
+                                    ("values", np.float64, (rows, width)), ("calendar", np.int64, (rows - 1, 2))])
+            foreign["tag"], foreign["sha256"], foreign["values"] = record["tag"], record["sha256"], moved
+            foreign["days"], foreign["calendar"] = record["days"][1:], record["calendar"][1:]
+            np.save(sidecar(path), foreign)
+        elif breakage == "other-panel":
+            other = latent_sentiment_panels(4, n_companies=1, length=40, embed_dim=4)[0]
+            write_panel_csv(path.parent / "other.csv", other)
+            sidecar(path).write_bytes(sidecar(path.parent / "other.csv").read_bytes())
+        elif breakage == "object-array":
+            np.save(sidecar(path), np.array([Tripwire(), record], dtype=object), allow_pickle=True)
+        elif breakage == "pickle":
+            sidecar(path).write_bytes(pickle.dumps(Tripwire()))
+        else:
+            buffer = io.BytesIO()
+            np.savez(buffer, record=record)
+            sidecar(path).write_bytes(buffer.getvalue())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = read_panel_csv(path, panel.ticker)
+        assert caught == []
+        assert panel_bits(loaded) == panel_bits(panel)
+
+    def test_sidecar_with_a_calendar_out_of_range_is_not_used(self, written):
+        path, panel = written
+        calendar = np.array(panel.calendar)
+        calendar[5] = (0, 5)
+        edit_sidecar(path, calendar=calendar)
+        assert panel_bits(read_panel_csv(path, panel.ticker)) == panel_bits(panel)
+
+    @pytest.mark.parametrize("flags, message", [
+        ((7, 0), "holiday must be 0 or 1 and dow 0..4, got 7 and 0"),
+        ((0, 5), "holiday must be 0 or 1 and dow 0..4, got 0 and 5"),
+    ], ids=["holiday-7", "dow-5"])
+    def test_panel_with_a_calendar_out_of_range_is_still_refused(self, tmp_path, flags, message):
+        source = latent_sentiment_panels(0, n_companies=1, length=10, embed_dim=2)[0]
+        rows = source.rows
+        rows[3] = replace(rows[3], holiday=flags[0], day_of_week=flags[1])
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, AlignedPanel(source.ticker, rows, source.embedding_dim))
+        assert sidecar(path).exists()
+        with pytest.raises(ParseError, match=re.escape(f"{path}:5: {message}") + "$"):
+            read_panel_csv(path, source.ticker)
+
+    def test_sidecar_holds_what_the_csv_reads_back(self, tmp_path):
+        # `repr` writes each NaN as `nan`: a negative or payload-carrying NaN reads back as the plain one.
+        nans = np.array([0xFFF8000000000000, 0x7FF8000000000001, 0x7FF4000000000000], dtype=np.uint64).view(np.float64)
+        source = latent_sentiment_panels(0, n_companies=1, length=3, embed_dim=1)[0]
+        values = np.array(source.values)
+        values[0, :3] = nans
+        values[1, :4] = (np.inf, -np.inf, -0.0, 0.0)
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, AlignedPanel.from_columns(source.ticker, source.days, values, source.calendar))
+        loaded = read_panel_csv(path, source.ticker)
+        assert loaded.values[0, :3].view(np.uint64).tolist() == [np.float64(np.nan).view(np.uint64)] * 3
+        assert panel_bits(loaded) == panel_bits(read_text_only(path, source.ticker))
+
+    def test_two_writes_give_identical_sidecar_bytes(self, tmp_path):
+        # Across more than the 2 s resolution of a zip member's timestamp.
+        panel = latent_sentiment_panels(0, n_companies=1, length=30, embed_dim=3)[0]
+        write_panel_csv(tmp_path / "a.csv", panel)
+        first = sidecar(tmp_path / "a.csv").read_bytes()
+        time.sleep(2.1)
+        write_panel_csv(tmp_path / "a.csv", panel)
+        write_panel_csv(tmp_path / "b.csv", panel)
+        assert sidecar(tmp_path / "a.csv").read_bytes() == first
+        assert sidecar(tmp_path / "b.csv").read_bytes() == first
 
 
 class TestTweetsCsv:
