@@ -84,11 +84,9 @@ def write_json(path: Path, obj) -> None:
     write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]], line_end: str = "\n") -> None:
-    # The writer quotes a field only for the characters of `line_end`, and an
-    # unquoted CR reads back as a line end: a field holding a CR needs "\r\n".
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator=line_end)
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     write_atomic(path, buffer.getvalue())
@@ -109,14 +107,7 @@ def cmd_preprocess(config: RunConfig, artifacts: Artifacts) -> None:
     require(config.tweets_file)
     tweets = text.load_tweets_csv(config.tweets_file)
     kept, stats = text.filter_corpus(tweets, config.tickers)
-    header = ("tweet_id", "writer", "post_date", "ticker", "body", "sentiment")
-    rows = (
-        (t.tweet_id, t.writer, t.post_date.isoformat(sep=" "), t.ticker, t.body,
-         "" if t.sentiment is None else str(t.sentiment))
-        for t in kept
-    )
-    has_cr = any("\r" in t.tweet_id or "\r" in t.writer or "\r" in t.body for t in kept)
-    write_csv(artifacts.tweets_clean, header, rows, "\r\n" if has_cr else "\n")
+    text.write_tweets_csv(artifacts.tweets_clean, kept)
     write_json(artifacts.filter_stats, stats)
     log.info("preprocess: kept %d of %d tweets", stats["kept"], stats["input"])
 
@@ -124,19 +115,19 @@ def cmd_preprocess(config: RunConfig, artifacts: Artifacts) -> None:
 def cmd_features(config: RunConfig, artifacts: Artifacts) -> None:
     require(artifacts.tweets_clean)
     calendar = load_calendar(config)
-    tweets = [t for t in text.load_tweets_csv(artifacts.tweets_clean) if t.ticker in config.tickers]
+    tweets = text.read_tweet_columns(artifacts.tweets_clean)
+    wanted = set(config.tickers)  # compared as str: numpy's `U` comparison ignores trailing NULs
+    tweets = tweets.take(np.array([ticker in wanted for ticker in tweets.tickers.tolist()], dtype=bool))
 
-    embedding_dim = 0
+    vectors: dict[str, np.ndarray] = {}
     if config.embeddings_file is not None:
         require(config.embeddings_file)
         vectors = text.load_embeddings_csv(config.embeddings_file)
-        text.attach_embeddings(tweets, vectors)
-        if vectors:
-            embedding_dim = len(next(iter(vectors.values())))
+    embedding_dim = len(next(iter(vectors.values()))) if vectors else 0
 
-    unlabeled = sum(1 for t in tweets if t.sentiment is None)
-    labeled = [t for t in tweets if t.sentiment is not None]
-    daily = text.aggregate_daily_text(labeled, calendar)
+    labeled = tweets.sentiment >= 0
+    unlabeled = int(np.count_nonzero(~labeled))
+    daily = text.aggregate_daily_text(tweets.take(labeled), calendar, vectors)
     by_ticker: dict[str, list[text.DailyTextFeatures]] = {}
     for feature in daily:
         by_ticker.setdefault(feature.ticker, []).append(feature)
@@ -150,8 +141,10 @@ def cmd_features(config: RunConfig, artifacts: Artifacts) -> None:
         if not features:
             raise ValidationError(f"{ticker}: no labeled tweets to align")
         panel = text.align_panel(prices, features, calendar, config.smoothing_span)
-        text.write_panel_csv(artifacts.panel(ticker), panel)
-        _write_daily_text(artifacts.daily_text(ticker), features, embedding_dim)
+        # The panel carries the daily mean embeddings: each is formatted once for both files.
+        embedding_text: dict[bytes, str] = {}
+        text.write_panel_csv(artifacts.panel(ticker), panel, embedding_text)
+        _write_daily_text(artifacts.daily_text(ticker), features, embedding_dim, embedding_text)
         panel_rows[ticker] = len(panel)
 
     meta = {
@@ -165,22 +158,21 @@ def cmd_features(config: RunConfig, artifacts: Artifacts) -> None:
     log.info("features: %d panels written", len(config.tickers))
 
 
-def _write_daily_text(path: Path, features: list[text.DailyTextFeatures], dim: int) -> None:
-    header = ["business_day", "n_pos", "n_neg", "score1", "score2"]
-    header += [f"e{i}" for i in range(dim)]
-    rows = []
+def _write_daily_text(
+    path: Path, features: list[text.DailyTextFeatures], dim: int, embedding_text: dict[bytes, str] | None = None
+) -> None:
+    # `repr` of a list of floats is the `repr` of each float, joined by ", "; numpy scalars are written as floats.
+    lines = [",".join(["business_day", "n_pos", "n_neg", "score1", "score2", *(f"e{i}" for i in range(dim))])]
+    texts = iter(())
+    if dim:
+        embedded = np.array([f.mean_embedding for f in features if f.mean_embedding is not None], dtype=np.float64)
+        texts = iter(text.embedding_csv_text(embedded.reshape(-1, dim), embedding_text))
     for f in features:
-        row = [
-            f.business_day.isoformat(), str(f.n_pos), str(f.n_neg),
-            repr(float(f.score1)), repr(float(f.score2)),
-        ]
-        if dim:
-            if f.mean_embedding is not None:
-                row += [repr(float(v)) for v in f.mean_embedding]
-            else:
-                row += [""] * dim
-        rows.append(row)
-    write_csv(path, header, rows)
+        scores = repr([float(f.score1), float(f.score2)])[1:-1]
+        embedding = "," * dim if f.mean_embedding is None or not dim else "," + next(texts)
+        lines.append(f"{f.business_day.isoformat()},{f.n_pos},{f.n_neg},{scores}{embedding}")
+    lines.append("")
+    write_atomic(path, "\n".join(lines).replace(", ", ","))
 
 
 def _load_panels(config: RunConfig, artifacts: Artifacts) -> list[text.AlignedPanel]:

@@ -47,11 +47,17 @@ def read_table(path: Path | str, dtype):
     the bits `float` gives while refusing more (`1_0`, non-ASCII digits), so
     `read_csv` reads any table it returns to the same values.  None means
     that numpy refused the file or warned (a file without rows), or that a
-    text field holds a quote or a NUL, which `read_csv` reads otherwise or
-    refuses: the caller's row loop then reads the file and names its fault.
+    text field or the header line holds a quote or a NUL, which `read_csv`
+    reads otherwise or refuses (a quoted header field may span lines that
+    numpy reads as rows): the caller's row loop then reads the file and
+    names its fault.
     """
     import numpy as np
 
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        header = handle.readline()
+    if '"' in header or "\x00" in header:
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +34,8 @@ _NON_ALNUM_RE = re.compile(r"[^A-Za-z0-9\s]+")
 PANEL_HEADER = ("date", "high", "low", "open", "volume", "close", "score", "score_raw", "holiday", "dow")
 PANEL_VALUES = PANEL_HEADER[1:8]  # the float columns of AlignedPanel.values ahead of the embedding
 SIDECAR_TAG = b"senticast-panel1"  # the format of the `<panel>.csv.npy` files `write_panel_csv` writes
+TWEET_HEADER = ("tweet_id", "writer", "post_date", "ticker", "body", "sentiment")
+TWEET_SIDECAR_TAG = b"senticast-tweet1"  # the format of the `<tweets>.csv.npy` files `write_tweets_csv` writes
 
 
 @dataclass
@@ -44,10 +46,36 @@ class TweetRecord:
     ticker: str
     body: str
     sentiment: int | None = None
-    embedding: Sequence[float] | np.ndarray | None = None
 
     def calendar_day(self) -> date:
         return self.post_date.date()
+
+
+class TweetColumns(NamedTuple):
+    """The columns of a tweet file that daily pooling reads, one entry per row in file order.
+
+    `ids` and `tickers` hold str (object arrays, or fixed-width `U` read
+    from a sidecar), `days` each post's calendar day as an int64 ordinal,
+    and `sentiment` each label as int8, -1 where it is blank.
+    """
+
+    ids: np.ndarray
+    tickers: np.ndarray
+    days: np.ndarray
+    sentiment: np.ndarray
+
+    @classmethod
+    def from_records(cls, tweets: Sequence[TweetRecord]) -> "TweetColumns":
+        return cls(
+            np.array([t.tweet_id for t in tweets], dtype=object),
+            np.array([t.ticker for t in tweets], dtype=object),
+            np.array([t.post_date.toordinal() for t in tweets], dtype=np.int64),
+            np.array([-1 if t.sentiment is None else t.sentiment for t in tweets], dtype=np.int8),
+        )
+
+    def take(self, rows: np.ndarray) -> "TweetColumns":
+        """The rows that the index or mask `rows` selects."""
+        return TweetColumns(*(column[rows] for column in self))
 
 
 @dataclass
@@ -237,70 +265,65 @@ def sentiment_scores(n_neg: int, n_pos: int) -> tuple[float, float]:
 
 
 def aggregate_daily_text(
-    tweets: Sequence[TweetRecord], calendar: BusinessCalendar
+    tweets: TweetColumns, calendar: BusinessCalendar, vectors: dict[str, np.ndarray] | None = None
 ) -> list[DailyTextFeatures]:
-    """Pool tweets onto business days and compute per-day scores and mean embeddings.
+    """Pool labeled tweets onto business days and compute per-day scores and mean embeddings.
 
-    Weekend and holiday posts roll forward to the next trading day; their
-    embeddings pool into that day's mean.
+    Weekend and holiday posts roll forward to the next trading day; the
+    embeddings that `vectors` holds for their ids pool into that day's
+    mean, in input order.  One entry per (ticker, business day), sorted.
     """
-    dim: int | None = None
-    buckets: dict[tuple[str, date], list[TweetRecord]] = {}
-    pooled_day: dict[date, date] = {}  # calendar day -> the business day its tweets pool onto
-    for tweet in tweets:
-        if tweet.sentiment not in (0, 1):
-            raise ValidationError(f"tweet {tweet.tweet_id}: sentiment label required for aggregation")
-        if tweet.embedding is not None:
-            if dim is None:
-                dim = len(tweet.embedding)
-            elif len(tweet.embedding) != dim:
-                raise ValidationError(
-                    f"tweet {tweet.tweet_id}: embedding dimension {len(tweet.embedding)} != {dim}"
-                )
-        posted = tweet.calendar_day()
-        day = pooled_day.get(posted)
-        if day is None:
-            day = pooled_day[posted] = calendar.next_business_day(posted)
-        buckets.setdefault((tweet.ticker, day), []).append(tweet)
-
+    unlabeled = np.flatnonzero((tweets.sentiment != 0) & (tweets.sentiment != 1))
+    if len(unlabeled):
+        raise ValidationError(f"tweet {tweets.ids[unlabeled[0]]}: sentiment label required for aggregation")
+    posted, on_day = np.unique(tweets.days, return_inverse=True)
+    pooled = [calendar.next_business_day(date.fromordinal(d)).toordinal() for d in posted.tolist()]
+    days, on_business_day = np.unique(np.array(pooled, dtype=np.int64)[on_day], return_inverse=True)
+    tickers, of_ticker = np.unique(tweets.tickers, return_inverse=True)
+    keys, group = np.unique(of_ticker * len(days) + on_business_day, return_inverse=True)
+    n_pos = np.bincount(group, weights=tweets.sentiment, minlength=len(keys)).astype(np.int64).tolist()
+    n_all = np.bincount(group, minlength=len(keys)).tolist()
+    days, tickers = days.tolist(), tickers.tolist()
     out = []
-    pooled: list[DailyTextFeatures] = []
-    groups = []
-    for (ticker, day), group in sorted(buckets.items()):  # keys are unique, so groups are never compared
-        n_pos = sum(1 for t in group if t.sentiment == 1)
-        n_neg = sum(1 for t in group if t.sentiment == 0)
-        score1, score2 = sentiment_scores(n_neg, n_pos)
-        out.append(DailyTextFeatures(day, ticker, n_pos, n_neg, score1, score2))
-        vectors = [t.embedding for t in group if t.embedding is not None]
-        if vectors:
-            pooled.append(out[-1])
-            groups.append(vectors)
-    if groups:
-        for feats, mean in zip(pooled, _running_means(groups)):
-            feats.mean_embedding = mean.tolist()
+    for key, pos, count in zip(keys.tolist(), n_pos, n_all):
+        ticker, day = divmod(key, len(days))
+        out.append(DailyTextFeatures(date.fromordinal(days[day]), tickers[ticker], pos, count - pos,
+                                     *sentiment_scores(count - pos, pos)))
+
+    looked_up = map((vectors or {}).get, tweets.ids.tolist())
+    found = [(row, vector) for row, vector in enumerate(looked_up) if vector is not None]
+    if found:
+        dim = len(found[0][1])
+        for row, vector in found:
+            if len(vector) != dim:
+                raise ValidationError(f"tweet {tweets.ids[row]}: embedding dimension {len(vector)} != {dim}")
+        rows = np.array([row for row, _ in found], dtype=np.int64)
+        embedded, means = _running_means([vector for _, vector in found], group[rows])
+        for index, mean in zip(embedded.tolist(), means.tolist()):
+            out[index].mean_embedding = mean
     return out
 
 
-def _running_means(groups: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
-    """Welford mean of each nonempty group of equal-length vectors, one row per group.
+def _running_means(vectors: Sequence[Sequence[float]], group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `group`, sorted, and the Welford mean of each one's rows of `vectors`.
 
-    Every element sees `m += (v - m) / count` for the group's vectors in
-    order, so the result is exact when all vectors coincide.  Step k
+    Every element sees `m += (v - m) / count` for its group's rows in input
+    order, so the result is exact when all of them coincide.  Step k
     updates every group longer than k at once: with the groups sorted
     longest first, those are a prefix.
     """
-    sizes = np.array([len(g) for g in groups], dtype=np.int64)
-    order = np.argsort(-sizes, kind="stable")
-    sizes = sizes[order]
+    keys, inverse, sizes = np.unique(group, return_inverse=True, return_counts=True)
+    longest_first = np.argsort(-sizes, kind="stable")
+    rank = np.empty_like(longest_first)
+    rank[longest_first] = np.arange(len(keys))
+    flat = np.array([vectors[i] for i in np.argsort(rank[inverse], kind="stable").tolist()], dtype=np.float64)
+    sizes = sizes[longest_first]
     starts = np.cumsum(sizes) - sizes
-    flat = np.array([v for i in order for v in groups[i]], dtype=np.float64)
     means = flat[starts]
     for k in range(1, int(sizes[0])):
         active = int(np.count_nonzero(sizes > k))
         means[:active] += (flat[starts[:active] + k] - means[:active]) / (k + 1)
-    out = np.empty_like(means)
-    out[order] = means
-    return out
+    return keys, means[rank]
 
 
 def align_panel(
@@ -379,12 +402,11 @@ def load_tweets_csv(path: Path | str) -> list[TweetRecord]:
     Either every `post_date` carries a UTC offset or none does, so that they can be ordered.
     """
     path = Path(path)
-    expected = ("tweet_id", "writer", "post_date", "ticker", "body", "sentiment")
     out = []
     rows = read_csv(path)
     _, header = next(rows)
-    if tuple(h.strip() for h in header) != expected:
-        raise ParseError(f"{path}:1: expected header {','.join(expected)}")
+    if tuple(h.strip() for h in header) != TWEET_HEADER:
+        raise ParseError(f"{path}:1: expected header {','.join(TWEET_HEADER)}")
     for lineno, row in rows:
         try:
             post_date = datetime.fromisoformat(row[2])
@@ -403,6 +425,69 @@ def load_tweets_csv(path: Path | str) -> list[TweetRecord]:
             raise ParseError(f"{path}:{lineno}: blank ticker")
         out.append(TweetRecord(row[0], row[1], post_date, ticker, row[4], sentiment))
     return out
+
+
+def write_tweets_csv(path: Path | str, tweets: Sequence[TweetRecord]) -> None:
+    """Write the tweets as `load_tweets_csv` reads them, then their columns as a sidecar, each file atomically.
+
+    The sidecar (see `read_tweet_columns`) holds ids and tickers as
+    fixed-width `U` columns.  It is left out, and an old one removed, where
+    the file holds a NUL, since numpy drops a `U` value's trailing NULs, or
+    where those columns, each as wide as its longest value, would hold more
+    characters than the file has bytes.
+    """
+    def render(line_end: str) -> bytes:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator=line_end)
+        writer.writerow(TWEET_HEADER)
+        writer.writerows(
+            (t.tweet_id, t.writer, t.post_date.isoformat(sep=" "), t.ticker, t.body,
+             "" if t.sentiment is None else str(t.sentiment))
+            for t in tweets
+        )
+        return buffer.getvalue().encode("utf-8")
+
+    # The writer quotes a field only for the characters of its line end, and an
+    # unquoted CR reads back as a line end: a field holding a CR needs "\r\n".
+    data = render("\n")
+    if b"\r" in data:
+        data = render("\r\n")
+    columns = TweetColumns.from_records(tweets)
+    widths = [max(map(len, column.tolist()), default=0) or 1 for column in (columns.ids, columns.tickers)]
+    if b"\x00" in data or len(tweets) * sum(widths) > len(data):
+        write_atomic(path, data)
+        _sidecar_path(path).unlink(missing_ok=True)
+        return
+    record = np.zeros((), _tweet_sidecar_dtype(len(tweets), *widths))
+    record["ids"], record["tickers"], record["days"], record["sentiment"] = columns
+    _write_with_sidecar(path, data, TWEET_SIDECAR_TAG, record)
+
+
+def read_tweet_columns(path: Path | str) -> TweetColumns:
+    """The columns of a `write_tweets_csv` file, from its sidecar when that is current, else from `load_tweets_csv`.
+
+    The sidecar is used only when its `.npy` header holds the dtype of
+    `_tweet_sidecar_dtype` for its shapes, its size is exact, its tag is
+    TWEET_SIDECAR_TAG, it holds the sha256 of the CSV's bytes now, and
+    every day is a valid ordinal and every label -1, 0 or 1.
+    """
+    path = Path(path)
+    record = _read_sidecar(path, TWEET_SIDECAR_TAG, lambda dtype: _tweet_sidecar_dtype(
+        dtype["days"].shape[0], dtype["ids"].base.itemsize // 4, dtype["tickers"].base.itemsize // 4,
+    ))
+    if record is not None:
+        days, sentiment = record["days"], record["sentiment"]
+        if ((days >= 1) & (days <= date.max.toordinal())).all() and ((sentiment >= -1) & (sentiment <= 1)).all():
+            return TweetColumns(record["ids"], record["tickers"], days, sentiment)
+    return TweetColumns.from_records(load_tweets_csv(path))
+
+
+def _tweet_sidecar_dtype(rows: int, id_width: int, ticker_width: int) -> np.dtype:
+    """One record: the tag, the CSV's sha256 in hex, then the ids, tickers, day ordinals and labels of its rows."""
+    return np.dtype([
+        ("tag", "S16"), ("sha256", "S64"), ("ids", f"<U{id_width}", (rows,)),
+        ("tickers", f"<U{ticker_width}", (rows,)), ("days", np.int64, (rows,)), ("sentiment", np.int8, (rows,)),
+    ])
 
 
 def load_embeddings_csv(path: Path | str) -> dict[str, np.ndarray]:
@@ -442,33 +527,46 @@ def load_embeddings_csv(path: Path | str) -> dict[str, np.ndarray]:
     return dict(zip(ids, _read_only(np.frombuffer(values, dtype=np.float64).reshape(-1, dim))))
 
 
-def attach_embeddings(tweets: Sequence[TweetRecord], vectors: dict[str, np.ndarray]) -> None:
-    """Point each tweet's embedding at its row of the lookup, without copying it."""
-    for tweet in tweets:
-        vec = vectors.get(tweet.tweet_id)
-        if vec is not None:
-            tweet.embedding = vec
+def embedding_csv_text(rows: np.ndarray, known: dict[bytes, str] | None = None) -> list[str]:
+    """The CSV fields of each row of the float64 matrix `rows`, as `repr` writes each value, joined by commas.
+
+    `known` maps a row's bytes to its text; a row found there is not
+    formatted again, and a new one is added.  Bytes tell `-0.0` from `0.0`.
+    """
+    known = {} if known is None else known
+    keys = np.ascontiguousarray(rows, dtype=np.float64).view(np.dtype((np.void, 8 * rows.shape[1])))
+    out = []
+    for key, row in zip(keys.ravel().tolist(), rows.tolist()):
+        text = known.get(key)
+        if text is None:
+            # `repr` of a list of floats is the `repr` of each float, joined by ", ".
+            text = known[key] = repr(row)[1:-1].replace(", ", ",")
+        out.append(text)
+    return out
 
 
-def write_panel_csv(path: Path | str, panel: AlignedPanel) -> None:
-    """Write the panel as CSV, then its sidecar beside it (see `read_panel_csv`), each file atomically."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow([*PANEL_HEADER, *(f"e{i}" for i in range(panel.embedding_dim))])
-    for day, values, flags in zip(panel.days, panel.values.tolist(), panel.calendar.tolist()):
-        floats = list(map(repr, values))
-        writer.writerow([day.isoformat(), *floats[: len(PANEL_VALUES)], *map(str, flags), *floats[len(PANEL_VALUES) :]])
-    data = buffer.getvalue().encode("utf-8")
-    write_atomic(path, data)
+def write_panel_csv(path: Path | str, panel: AlignedPanel, embedding_text: dict[bytes, str] | None = None) -> None:
+    """Write the panel as CSV (`\r\n` line ends), then its sidecar beside it (see `read_panel_csv`), each atomically.
+
+    `embedding_text` is the `known` of `embedding_csv_text`, so that a
+    caller writing the same embeddings to another file formats each once.
+    """
+    dim = panel.embedding_dim
+    lines = [",".join([*PANEL_HEADER, *(f"e{i}" for i in range(dim))])]
+    embeddings = [""] * len(panel.days)
+    if dim:
+        embeddings = ["," + t for t in embedding_csv_text(panel.values[:, len(PANEL_VALUES) :], embedding_text)]
+    for day, values, (holiday, dow), embedding in zip(
+        panel.days, panel.values[:, : len(PANEL_VALUES)].tolist(), panel.calendar.tolist(), embeddings
+    ):
+        lines.append(f"{day.isoformat()},{repr(values)[1:-1]},{holiday},{dow}{embedding}")
+    lines.append("")
     record = np.zeros((), _sidecar_dtype(*panel.values.shape))
-    record["tag"], record["sha256"] = SIDECAR_TAG, hashlib.sha256(data).hexdigest().encode()
     record["days"] = [day.toordinal() for day in panel.days]
     record["values"] = panel.values
     record["values"][np.isnan(panel.values)] = np.nan  # `repr` writes each NaN as `nan`, whatever its sign and payload
     record["calendar"] = panel.calendar
-    sidecar = io.BytesIO()
-    np.save(sidecar, record)
-    write_atomic(_sidecar_path(path), sidecar.getvalue())
+    _write_with_sidecar(path, "\r\n".join(lines).replace(", ", ",").encode("utf-8"), SIDECAR_TAG, record)
 
 
 def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
@@ -549,27 +647,51 @@ def _sidecar_dtype(rows: int, width: int) -> np.dtype:
 
 
 def _sidecar_columns(path: Path) -> tuple[list[date], np.ndarray, np.ndarray] | None:
-    """The days, values and calendar in the sidecar of the CSV at `path`, or None where the CSV must be read.
+    """The days, values and calendar in the sidecar of the panel CSV at `path`, or None where the CSV must be read."""
+    record = _read_sidecar(path, SIDECAR_TAG, lambda dtype: _sidecar_dtype(*dtype["values"].shape))
+    if record is None or not _calendar_in_range(record["calendar"]):
+        return None
+    try:
+        return list(map(date.fromordinal, record["days"].tolist())), record["values"], record["calendar"]
+    except (ValueError, OverflowError):
+        return None
 
-    The header and the file size are checked before any data is read, and
-    the dtype holds no objects, so nothing is unpickled.
+
+def _write_with_sidecar(path: Path | str, data: bytes, tag: bytes, record: np.ndarray) -> None:
+    """Write the CSV bytes `data` to `path`, then `record`, with `tag` and their sha256, as its `.npy` sidecar.
+
+    `record` is one structured value whose first fields are `tag` (S16) and
+    `sha256` (S64).  A version-1.0 `.npy` file of fixed-width fields is
+    the same bytes on every write.
+    """
+    write_atomic(path, data)
+    record["tag"], record["sha256"] = tag, hashlib.sha256(data).hexdigest().encode()
+    sidecar = io.BytesIO()
+    np.save(sidecar, record)
+    write_atomic(_sidecar_path(path), sidecar.getbuffer())
+
+
+def _read_sidecar(path: Path, tag: bytes, dtype_for: Callable[[np.dtype], np.dtype]) -> np.void | None:
+    """The record in the sidecar of the CSV at `path`, or None where the CSV must be read.
+
+    `dtype_for(dtype)` gives the dtype the writer uses for the shapes that
+    the header's `dtype` declares; the record is read only when the two are
+    equal and the file size is exact, so nothing is unpickled.  It is
+    returned only when it holds `tag` and the sha256 of the CSV's bytes.
     """
     try:
         with open(_sidecar_path(path), "rb") as handle:
             if np.lib.format.read_magic(handle) != (1, 0):
                 return None
             shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
-            rows, width = dtype["values"].shape
             size = handle.tell() + dtype.itemsize
-            if shape != () or dtype != _sidecar_dtype(rows, width) or os.fstat(handle.fileno()).st_size != size:
+            if shape != () or dtype != dtype_for(dtype) or os.fstat(handle.fileno()).st_size != size:
                 return None
             record = np.fromfile(handle, dtype, count=1)[0]
         digest = hashlib.sha256(path.read_bytes()).hexdigest().encode()
-        if record["tag"] != SIDECAR_TAG or record["sha256"] != digest or not _calendar_in_range(record["calendar"]):
-            return None
-        return list(map(date.fromordinal, record["days"].tolist())), record["values"], record["calendar"]
-    except (OSError, KeyError, ValueError, OverflowError):
+    except (OSError, KeyError, IndexError, ValueError, TypeError, OverflowError):
         return None
+    return record if record["tag"] == tag and record["sha256"] == digest else None
 
 
 def _calendar_in_range(calendar: np.ndarray) -> bool:

@@ -35,6 +35,7 @@ from senticast.text import (
     AlignedPanel,
     DailyTextFeatures,
     PanelRow,
+    TweetColumns,
     TweetRecord,
     aggregate_daily_text,
     align_panel,
@@ -43,6 +44,7 @@ from senticast.text import (
     load_embeddings_csv,
     load_tweets_csv,
     read_panel_csv,
+    read_tweet_columns,
     write_panel_csv,
 )
 from senticast.nn import Tensor
@@ -348,12 +350,19 @@ def test_preprocess_writes_tweets_that_read_back_equal(records):
             "paths.ohlcv_dir = ohlcv\npaths.tweets = tweets.csv\npaths.output = out\ntickers = AAA,BBB\n"
         )
         assert main(["preprocess", "--config", str(tmp / "run.cfg")]) == 0
-        assert load_tweets_csv(tmp / "out" / "preprocess" / "tweets_clean.csv") == filter_corpus(records, TICKERS)[0]
+        path = tmp / "out" / "preprocess" / "tweets_clean.csv"
+        assert load_tweets_csv(path) == filter_corpus(records, TICKERS)[0]
+        with mock.patch("senticast.text.load_tweets_csv", side_effect=AssertionError("the CSV was parsed")):
+            from_sidecar = read_tweet_columns(path)
+        from_text = TweetColumns.from_records(load_tweets_csv(path))
+    for a, b in zip(from_sidecar, from_text):
+        assert (len(a), a.tolist()) == (len(b), b.tolist())
+    assert (from_sidecar.days.dtype, from_sidecar.sentiment.dtype) == (np.int64, np.int8)
 
 
 @st.composite
 def embedded_tweets(draw):
-    """Labeled tweets over two weeks from a Friday, with or without embeddings of one width."""
+    """Labeled tweets over two weeks from a Friday, and embeddings of one width for some of their ids."""
     dim = draw(st.integers(1, 4))
     values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300, 0.1, 1e300])
     tweets = [
@@ -364,32 +373,35 @@ def embedded_tweets(draw):
             draw(st.sampled_from(TICKERS)),
             "b",
             draw(st.integers(0, 1)),
-            draw(st.none() | st.lists(values, min_size=dim, max_size=dim)),
         )
         for i in range(draw(st.integers(1, 40)))
     ]
-    if draw(st.booleans()):  # as `attach_embeddings` leaves them: read-only rows of one matrix
-        rows = [t for t in tweets if t.embedding is not None]
-        matrix = np.array([t.embedding for t in rows], dtype=np.float64).reshape(len(rows), dim)
+    vectors = {
+        t.tweet_id: vector
+        for t in tweets
+        if (vector := draw(st.none() | st.lists(values, min_size=dim, max_size=dim))) is not None
+    }
+    if draw(st.booleans()):  # as `load_embeddings_csv` gives them: read-only rows of one matrix
+        matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim)
         matrix.flags.writeable = False
-        for t, row in zip(rows, matrix):
-            t.embedding = row
-    return tweets
+        vectors = dict(zip(vectors, matrix))
+    return tweets, vectors
 
 
 @settings(max_examples=200, deadline=None)
 @given(embedded_tweets())
-def test_daily_mean_embeddings_are_bit_equal_to_the_loop(tweets):
+def test_daily_mean_embeddings_are_bit_equal_to_the_loop(case):
+    tweets, vectors = case
     buckets: dict = {}
     for t in tweets:
-        if t.embedding is not None:
-            buckets.setdefault((t.ticker, CAL.next_business_day(t.calendar_day())), []).append(t.embedding)
-    daily = aggregate_daily_text(tweets, CAL)
+        if t.tweet_id in vectors:
+            buckets.setdefault((t.ticker, CAL.next_business_day(t.calendar_day())), []).append(vectors[t.tweet_id])
+    daily = aggregate_daily_text(TweetColumns.from_records(tweets), CAL, vectors)
     means = {(f.ticker, f.business_day): f.mean_embedding for f in daily if f.mean_embedding is not None}
     assert means.keys() == buckets.keys()
-    for key, vectors in buckets.items():
+    for key, rows in buckets.items():
         assert all(type(v) is float for v in means[key])
-        assert np.array(means[key]).tobytes() == np.array(welford_mean_loop(vectors)).tobytes()
+        assert np.array(means[key]).tobytes() == np.array(welford_mean_loop(rows)).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -762,5 +774,6 @@ def prediction_bits(outcome):
 @given(prediction_lines().flatmap(edited_csv))
 @example("date,ticker,step,truth,pred\n")
 @example("date,ticker,step,truth,pred\n2021-01-05,AAA,1,1_0,+1\n2021-01-05,\"AAA\",1,1,1\n")
+@example('date,ticker,step,truth,"\n2021-01-05,AAA,1,0.0,0.0')  # a quoted header field holds the next line
 def test_prediction_reader_matches_the_row_loop(text):
     assert prediction_bits(read_outcome(_read_predictions, text)) == prediction_bits(read_outcome(read_predictions_loop, text))

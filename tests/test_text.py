@@ -1,25 +1,30 @@
 from __future__ import annotations
 
+import csv
 import io
 import pickle
 import re
+import shutil
 import time
 import tracemalloc
 import warnings
 from dataclasses import replace
 from datetime import date, datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import latent_sentiment_panels
 from senticast import text
+from senticast.cli import EXIT_OK, main
 from senticast.errors import AlignmentError, NoObservations, ParseError, ValidationError
 from senticast.market import BusinessCalendar, OhlcvBar, PriceSeries
 from senticast.text import (
     AlignedPanel,
     DailyTextFeatures,
     PanelRow,
+    TweetColumns,
     TweetRecord,
     aggregate_daily_text,
     align_panel,
@@ -27,14 +32,16 @@ from senticast.text import (
     filter_corpus,
     load_tweets_csv,
     read_panel_csv,
+    read_tweet_columns,
     sentiment_scores,
     write_panel_csv,
+    write_tweets_csv,
 )
 
 CAL = BusinessCalendar()
 
 
-def tweet(tid, day, hour=12, ticker="AAPL", body="hello", writer="w", sentiment=1, embedding=None):
+def tweet(tid, day, hour=12, ticker="AAPL", body="hello", writer="w", sentiment=1):
     return TweetRecord(
         tweet_id=tid,
         writer=writer,
@@ -42,8 +49,12 @@ def tweet(tid, day, hour=12, ticker="AAPL", body="hello", writer="w", sentiment=
         ticker=ticker,
         body=body,
         sentiment=sentiment,
-        embedding=embedding,
     )
+
+
+def pooled(tweets, calendar=CAL, vectors=None):
+    """`aggregate_daily_text` over the columns of `tweets`, with `vectors` mapping their ids to embeddings."""
+    return aggregate_daily_text(TweetColumns.from_records(tweets), calendar, vectors)
 
 
 class TestCleanTweet:
@@ -141,37 +152,31 @@ class TestAggregateDailyText:
             + [tweet(f"u{i}", sun, sentiment=0) for i in range(2)]
             + [tweet("m", mon, sentiment=1)]
         )
-        daily = aggregate_daily_text(tweets, CAL)
+        daily = pooled(tweets)
         assert len(daily) == 1
         assert daily[0].business_day == mon
         assert daily[0].n_pos == 4 and daily[0].n_neg == 2
 
     def test_single_embedding_is_its_own_mean(self):
         tue = date(2021, 1, 5)
-        daily = aggregate_daily_text([tweet("1", tue, embedding=[0.5, 1.5])], CAL)
+        daily = pooled([tweet("1", tue)], vectors={"1": [0.5, 1.5]})
         assert daily[0].mean_embedding == [0.5, 1.5]
 
     def test_two_embeddings_average(self):
         tue = date(2021, 1, 5)
-        tweets = [
-            tweet("1", tue, hour=9, embedding=[1.0, 0.0]),
-            tweet("2", tue, hour=10, embedding=[0.0, 1.0]),
-        ]
-        daily = aggregate_daily_text(tweets, CAL)
+        tweets = [tweet("1", tue, hour=9), tweet("2", tue, hour=10)]
+        daily = pooled(tweets, vectors={"1": [1.0, 0.0], "2": [0.0, 1.0]})
         assert daily[0].mean_embedding == [0.5, 0.5]
 
     def test_mixed_embedding_dims_rejected(self):
         tue = date(2021, 1, 5)
-        tweets = [
-            tweet("1", tue, hour=9, embedding=[1.0, 0.0]),
-            tweet("2", tue, hour=10, embedding=[1.0]),
-        ]
+        tweets = [tweet("1", tue, hour=9), tweet("2", tue, hour=10)]
         with pytest.raises(ValidationError, match="dimension"):
-            aggregate_daily_text(tweets, CAL)
+            pooled(tweets, vectors={"1": [1.0, 0.0], "2": [1.0]})
 
     def test_missing_sentiment_rejected(self):
         with pytest.raises(ValidationError):
-            aggregate_daily_text([tweet("1", date(2021, 1, 5), sentiment=None)], CAL)
+            pooled([tweet("1", date(2021, 1, 5), sentiment=None)])
 
     def test_tweet_conservation_and_no_backward_mapping(self):
         rng = np.random.default_rng(9)
@@ -181,7 +186,7 @@ class TestAggregateDailyText:
                 "timedelta64[D]"
             ).item()
             tweets.append(tweet(str(i), day, ticker=rng.choice(["A", "B"]), sentiment=int(rng.integers(0, 2))))
-        daily = aggregate_daily_text(tweets, CAL)
+        daily = pooled(tweets)
         assert sum(f.n_pos + f.n_neg for f in daily) == len(tweets)
         mapped = {}
         for f in daily:
@@ -193,8 +198,8 @@ class TestAggregateDailyText:
     def test_identical_vectors_average_exactly(self):
         tue = date(2021, 1, 5)
         v = [0.123, -0.456, 0.789]
-        tweets = [tweet(str(i), tue, hour=9 + i, embedding=list(v)) for i in range(5)]
-        daily = aggregate_daily_text(tweets, CAL)
+        tweets = [tweet(str(i), tue, hour=9 + i) for i in range(5)]
+        daily = pooled(tweets, vectors={str(i): list(v) for i in range(5)})
         assert daily[0].mean_embedding == v
 
 
@@ -212,9 +217,7 @@ class TestAlignPanel:
 
     def test_full_overlap_no_fills(self):
         prices = price_series(self.days, [10.0, 11.0, 12.0, 13.0, 14.0])
-        feats = aggregate_daily_text(
-            [tweet(str(i), d, sentiment=i % 2) for i, d in enumerate(self.days)], CAL
-        )
+        feats = pooled([tweet(str(i), d, sentiment=i % 2) for i, d in enumerate(self.days)])
         panel = align_panel(prices, feats, CAL, smoothing_span=3)
         assert len(panel.rows) == 5
         assert [r.day for r in panel.rows] == self.days
@@ -227,7 +230,7 @@ class TestAlignPanel:
                 continue
             tweets += [tweet(f"p{i}", d, hour=9, sentiment=1), tweet(f"n{i}", d, hour=10, sentiment=0)]
         tweets.append(tweet("extra", self.days[1], hour=11, sentiment=0, body="more"))
-        feats = aggregate_daily_text(tweets, CAL)
+        feats = pooled(tweets)
         panel = align_panel(prices, feats, CAL, smoothing_span=3)
         tue, wed = panel.rows[1], panel.rows[2]
         assert wed.score_raw == tue.score_raw
@@ -235,7 +238,7 @@ class TestAlignPanel:
     def test_disjoint_ranges_raise(self):
         prices = price_series(self.days, [10.0] * 5)
         later = CAL.days_between(date(2021, 2, 1), date(2021, 2, 5))
-        feats = aggregate_daily_text([tweet("1", later[0])], CAL)
+        feats = pooled([tweet("1", later[0])])
         with pytest.raises(AlignmentError):
             align_panel(prices, feats, CAL, smoothing_span=3)
 
@@ -247,18 +250,15 @@ class TestAlignPanel:
         for i, d in enumerate(days):
             if rng.random() < 0.7:
                 tweets.append(tweet(str(i), d, sentiment=int(rng.integers(0, 2))))
-        feats = aggregate_daily_text(tweets, CAL)
+        feats = pooled(tweets)
         panel = align_panel(prices, feats, CAL, smoothing_span=15)
         covered = CAL.days_between(panel.rows[0].day, panel.rows[-1].day)
         assert [r.day for r in panel.rows] == covered
 
     def test_embedding_forward_fill(self):
         prices = price_series(self.days, [10.0] * 5)
-        tweets = [
-            tweet("1", self.days[0], embedding=[1.0, 2.0]),
-            tweet("2", self.days[3], embedding=[3.0, 4.0]),
-        ]
-        feats = aggregate_daily_text(tweets, CAL)
+        tweets = [tweet("1", self.days[0]), tweet("2", self.days[3])]
+        feats = pooled(tweets, vectors={"1": [1.0, 2.0], "2": [3.0, 4.0]})
         panel = align_panel(prices, feats, CAL, smoothing_span=3)
         assert panel.rows[1].embedding == [1.0, 2.0]
         assert panel.rows[2].embedding == [1.0, 2.0]
@@ -316,7 +316,7 @@ class TestAlignPanel:
         prices = PriceSeries(
             "AAPL", [OhlcvBar(d, 10.0, 10.1, 9.9, 10.0, 10.0, 1.0) for d in days]
         )
-        feats = aggregate_daily_text([tweet(str(i), d) for i, d in enumerate(days)], cal)
+        feats = pooled([tweet(str(i), d) for i, d in enumerate(days)], cal)
         panel = align_panel(prices, feats, cal, smoothing_span=3)
         flags = {r.day: r.holiday for r in panel.rows}
         assert flags[date(2021, 1, 7)] == 1  # Thursday follows the holiday
@@ -327,9 +327,9 @@ class TestPanelRoundTrip:
     def test_csv_round_trip_preserves_values(self, tmp_path):
         days = CAL.days_between(date(2021, 1, 4), date(2021, 1, 8))
         prices = price_series(days, [10.0, 11.5, 12.25, 13.0, 14.125])
-        feats = aggregate_daily_text(
-            [tweet(str(i), d, sentiment=i % 2, embedding=[0.1 * i, -0.2 * i]) for i, d in enumerate(days)],
-            CAL,
+        feats = pooled(
+            [tweet(str(i), d, sentiment=i % 2) for i, d in enumerate(days)],
+            vectors={str(i): [0.1 * i, -0.2 * i] for i in range(len(days))},
         )
         panel = align_panel(prices, feats, CAL, smoothing_span=3)
         path = tmp_path / "panel.csv"
@@ -353,6 +353,14 @@ class TestPanelRoundTrip:
                 a.day, *(float(v) for v in (a.high, a.low, a.open, a.volume, a.close, a.score, a.score_raw)),
                 [float(v) for v in a.embedding], a.holiday, a.day_of_week,
             )
+
+    def test_embedding_text_is_each_value_repr_made_once_per_distinct_bytes(self):
+        rows = np.array([[0.0, 0.1], [-0.0, 0.1], [0.0, 0.1], [np.nan, 1e300], [-np.inf, 5e-324]])
+        known = {}
+        assert text.embedding_csv_text(rows, known) == [",".join(map(repr, row)) for row in rows.tolist()]
+        assert len(known) == 4
+        known[rows[0].tobytes()] = "seen"
+        assert text.embedding_csv_text(rows[:2], known) == ["seen", "-0.0,0.1"]
 
     def test_crash_mid_write_leaves_old_panel_intact(self, tmp_path):
         class Unwritable(date):
@@ -468,59 +476,6 @@ class TestPanelSidecar:
         assert loaded.values[0, 0] != panel.values[0, 0]
         assert panel_bits(loaded) == panel_bits(read_text_only(path, panel.ticker))
 
-    def test_rewritten_csv_beside_an_old_sidecar_is_read_from_its_text(self, written):
-        # A write that died between the CSV and its sidecar leaves the old sidecar.
-        path, panel = written
-        old = sidecar(path).read_bytes()
-        other = latent_sentiment_panels(4, n_companies=1, length=40, embed_dim=4)[0]
-        write_panel_csv(path, other)
-        sidecar(path).write_bytes(old)
-        assert panel_bits(read_panel_csv(path, other.ticker)) == panel_bits(other)
-
-    @pytest.mark.parametrize("breakage", [
-        "empty", "truncated-header", "truncated-data", "trailing-byte", "wrong-tag", "wrong-shape",
-        "other-panel", "object-array", "pickle", "npz",
-    ])
-    def test_broken_or_foreign_sidecar_falls_back_without_a_warning(self, written, breakage):
-        path, panel = written
-        data = sidecar(path).read_bytes()
-        record = np.load(sidecar(path))
-        moved = record["values"] + 1.0  # what a wrongly used sidecar would show
-        if breakage == "empty":
-            sidecar(path).write_bytes(b"")
-        elif breakage == "truncated-header":
-            sidecar(path).write_bytes(data[:100])
-        elif breakage == "truncated-data":
-            sidecar(path).write_bytes(data[:-8])
-        elif breakage == "trailing-byte":
-            sidecar(path).write_bytes(data + b"\x00")
-        elif breakage == "wrong-tag":
-            edit_sidecar(path, tag=b"senticast-panel0", values=moved)
-        elif breakage == "wrong-shape":
-            rows, width = panel.values.shape  # days and calendar for one row fewer than the values
-            foreign = np.zeros((), [("tag", "S16"), ("sha256", "S64"), ("days", np.int64, (rows - 1,)),
-                                    ("values", np.float64, (rows, width)), ("calendar", np.int64, (rows - 1, 2))])
-            foreign["tag"], foreign["sha256"], foreign["values"] = record["tag"], record["sha256"], moved
-            foreign["days"], foreign["calendar"] = record["days"][1:], record["calendar"][1:]
-            np.save(sidecar(path), foreign)
-        elif breakage == "other-panel":
-            other = latent_sentiment_panels(4, n_companies=1, length=40, embed_dim=4)[0]
-            write_panel_csv(path.parent / "other.csv", other)
-            sidecar(path).write_bytes(sidecar(path.parent / "other.csv").read_bytes())
-        elif breakage == "object-array":
-            np.save(sidecar(path), np.array([Tripwire(), record], dtype=object), allow_pickle=True)
-        elif breakage == "pickle":
-            sidecar(path).write_bytes(pickle.dumps(Tripwire()))
-        else:
-            buffer = io.BytesIO()
-            np.savez(buffer, record=record)
-            sidecar(path).write_bytes(buffer.getvalue())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            loaded = read_panel_csv(path, panel.ticker)
-        assert caught == []
-        assert panel_bits(loaded) == panel_bits(panel)
-
     def test_sidecar_with_a_calendar_out_of_range_is_not_used(self, written):
         path, panel = written
         calendar = np.array(panel.calendar)
@@ -565,6 +520,194 @@ class TestPanelSidecar:
         write_panel_csv(tmp_path / "b.csv", panel)
         assert sidecar(tmp_path / "a.csv").read_bytes() == first
         assert sidecar(tmp_path / "b.csv").read_bytes() == first
+
+
+FIXTURE_CONFIG = str(Path(__file__).parent / "fixtures" / "pipeline" / "config.cfg")
+
+
+class PanelFile:
+    """A panel CSV and its sidecar; `outcome` is what `read_panel_csv` makes of a panel file."""
+
+    def __init__(self, tmp_path):
+        self.root = tmp_path
+        self.panel = latent_sentiment_panels(3, n_companies=1, length=40, embed_dim=4)[0]
+        self.path = tmp_path / "panel.csv"
+        write_panel_csv(self.path, self.panel)
+
+    def write_other(self, path):
+        write_panel_csv(path, latent_sentiment_panels(4, n_companies=1, length=40, embed_dim=4)[0])
+
+    def outcome(self, path):
+        return panel_bits(read_panel_csv(path, self.panel.ticker))
+
+    @staticmethod
+    def moved(record):
+        """Fields that a wrongly used sidecar would show."""
+        return {"values": record["values"] + 1.0}
+
+
+class TweetFile:
+    """The cleaned tweets of the pipeline fixture; `outcome` is what `features` writes from a tweet file."""
+
+    def __init__(self, tmp_path):
+        self.root = tmp_path
+        assert main(["preprocess", "--config", FIXTURE_CONFIG, "--output", str(tmp_path / "out")]) == EXIT_OK
+        self.path = tmp_path / "out" / "preprocess" / "tweets_clean.csv"
+
+    def write_other(self, path):
+        write_tweets_csv(path, load_tweets_csv(self.path)[1:])
+
+    def outcome(self, path):
+        """Every file that `features` writes from the `tweets_clean.csv` at `path`, by name."""
+        out = path.parent.parent
+        assert main(["features", "--config", FIXTURE_CONFIG, "--output", str(out)]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in sorted((out / "features").iterdir())}
+
+    @staticmethod
+    def moved(record):
+        labels = record["sentiment"]
+        return {"sentiment": np.where(labels >= 0, 1 - labels, labels), "days": record["days"] + 3}
+
+
+SIDECAR_FILES = {"panel": PanelFile, "tweets": TweetFile}
+
+
+def outcome_without_sidecar(written, path):
+    """`written.outcome` of a copy of the CSV at `path` without its sidecar."""
+    copy = written.root / "text-only" / path.relative_to(written.root)
+    copy.parent.mkdir(parents=True, exist_ok=True)
+    copy.write_bytes(path.read_bytes())
+    return written.outcome(copy)
+
+
+@pytest.mark.parametrize("kind", SIDECAR_FILES)
+class TestSidecarFallback:
+    def test_rewritten_csv_beside_an_old_sidecar_is_read_from_its_text(self, tmp_path, kind):
+        # A write that died between the CSV and its sidecar leaves the old sidecar.
+        written = SIDECAR_FILES[kind](tmp_path)
+        path = written.path
+        old = sidecar(path).read_bytes()
+        before = written.outcome(path)
+        written.write_other(path)
+        sidecar(path).write_bytes(old)
+        after = written.outcome(path)
+        assert after != before
+        assert after == outcome_without_sidecar(written, path)
+
+    @pytest.mark.parametrize("breakage", [
+        "empty", "truncated-header", "truncated-data", "trailing-byte", "wrong-tag", "wrong-shape",
+        "other-file", "object-array", "pickle", "npz",
+    ])
+    def test_broken_or_foreign_sidecar_falls_back_without_a_warning(self, tmp_path, kind, breakage):
+        written = SIDECAR_FILES[kind](tmp_path)
+        path = written.path
+        data = sidecar(path).read_bytes()
+        record = np.load(sidecar(path))
+        moved = written.moved(record)
+        if breakage == "empty":
+            sidecar(path).write_bytes(b"")
+        elif breakage == "truncated-header":
+            sidecar(path).write_bytes(data[:100])
+        elif breakage == "truncated-data":
+            sidecar(path).write_bytes(data[:-8])
+        elif breakage == "trailing-byte":
+            sidecar(path).write_bytes(data + b"\x00")
+        elif breakage == "wrong-tag":
+            edit_sidecar(path, tag=record["tag"].item()[:-1] + b"0", **moved)
+        elif breakage == "wrong-shape":  # the days of one row fewer than the other columns
+            shapes = {name: record.dtype[name].shape for name in record.dtype.names}
+            shapes["days"] = (shapes["days"][0] - 1,)
+            foreign = np.zeros((), [(name, record.dtype[name].base, shapes[name]) for name in record.dtype.names])
+            for name in record.dtype.names:
+                foreign[name] = record["days"][1:] if name == "days" else moved.get(name, record[name])
+            np.save(sidecar(path), foreign)
+        elif breakage == "other-file":
+            written.write_other(path.parent / "other.csv")
+            sidecar(path).write_bytes(sidecar(path.parent / "other.csv").read_bytes())
+        elif breakage == "object-array":
+            np.save(sidecar(path), np.array([Tripwire(), record], dtype=object), allow_pickle=True)
+        elif breakage == "pickle":
+            sidecar(path).write_bytes(pickle.dumps(Tripwire()))
+        else:
+            buffer = io.BytesIO()
+            np.savez(buffer, record=record)
+            sidecar(path).write_bytes(buffer.getvalue())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = written.outcome(path)
+        assert caught == []
+        assert outcome == outcome_without_sidecar(written, path)
+
+
+class TestTweetSidecar:
+    def test_written_tweets_are_read_from_their_sidecar_alone(self, tmp_path, monkeypatch):
+        written = TweetFile(tmp_path)
+        expected = outcome_without_sidecar(written, written.path)
+        monkeypatch.setattr(text, "load_tweets_csv", lambda *args, **kwargs: pytest.fail("the CSV was parsed"))
+        assert written.outcome(written.path) == expected
+
+    @pytest.mark.parametrize("field, value", [("sentiment", 2), ("sentiment", -2), ("days", 0)])
+    def test_sidecar_with_a_value_out_of_range_is_not_used(self, tmp_path, field, value):
+        written = TweetFile(tmp_path)
+        column = np.array(np.load(sidecar(written.path))[field])
+        column[3] = value
+        edit_sidecar(written.path, **{field: column})
+        assert written.outcome(written.path) == outcome_without_sidecar(written, written.path)
+
+    def test_two_writes_give_identical_sidecar_bytes(self, tmp_path):
+        tweets = load_tweets_csv(TweetFile(tmp_path).path)
+        write_tweets_csv(tmp_path / "a.csv", tweets)
+        write_tweets_csv(tmp_path / "b.csv", tweets)
+        assert sidecar(tmp_path / "a.csv").read_bytes() == sidecar(tmp_path / "b.csv").read_bytes()
+
+    def test_nul_in_an_id_or_ticker_is_read_from_the_text(self, tmp_path):
+        # numpy's fixed-width `U` drops trailing NULs: from a sidecar, "7\x00"
+        # would read back as "7" and take tweet 7's embedding.
+        mon, tue = date(2021, 1, 4), date(2021, 1, 5)
+        path = tmp_path / "tweets.csv"
+        write_tweets_csv(path, [tweet("7", mon), tweet("8", mon, body="other")])
+        assert sidecar(path).exists()
+        tweets = [tweet("7", mon), tweet("7\x00", tue), tweet("9", tue, ticker="AAPL\x00", sentiment=0)]
+        write_tweets_csv(path, tweets)
+        assert not sidecar(path).exists()
+        columns = read_tweet_columns(path)
+        assert columns.ids.tolist() == ["7", "7\x00", "9"]
+        assert columns.tickers.tolist() == ["AAPL", "AAPL", "AAPL\x00"]
+        daily = aggregate_daily_text(columns, CAL, {"7": [1.0, 0.0], "7\x00": [0.0, 1.0]})
+        assert [(f.ticker, f.business_day, f.n_neg, f.mean_embedding) for f in daily] == [
+            ("AAPL", mon, 0, [1.0, 0.0]), ("AAPL", tue, 0, [0.0, 1.0]), ("AAPL\x00", tue, 1, None),
+        ]
+
+    def test_one_long_id_leaves_the_sidecar_out(self, tmp_path):
+        # A fixed-width `U` column is as wide as its longest value, for every row.
+        tweets = [tweet(str(i), date(2021, 1, 4), body=f"b{i}") for i in range(200)]
+        tweets.append(tweet("x" * 20000, date(2021, 1, 5)))
+        path = tmp_path / "tweets.csv"
+        write_tweets_csv(path, tweets)
+        assert not sidecar(path).exists()
+        assert read_tweet_columns(path).ids.tolist() == [t.tweet_id for t in tweets]
+        write_tweets_csv(path, tweets[:-1])
+        assert sidecar(path).exists()
+
+    def test_features_on_nul_names_matches_features_on_plain_ones(self, tmp_path):
+        # A tweet id "<id>\x00" beside tweet <id>, and a ticker "AAA\x00" outside the config.
+        fixture = Path(FIXTURE_CONFIG).parent
+        outcomes = []
+        for name, suffix, ticker in (("nul", "\x00", "AAA\x00"), ("plain", "-x", "ZZZ")):
+            corpus = tmp_path / name
+            shutil.copytree(fixture, corpus)
+            first = load_tweets_csv(corpus / "tweets.csv")[0]
+            with open(corpus / "tweets.csv", "a", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow([first.tweet_id + suffix, "w", "2020-01-07 10:00:00", "AAA", "fresh words", "1"])
+                writer.writerow(["nul-ticker", "w", "2020-01-07 11:00:00", ticker, "more words", "0"])
+            with open(corpus / "embeddings.csv", "a", encoding="utf-8") as handle:
+                handle.write(first.tweet_id + suffix + "," + ",".join(["0.5"] * 8) + "\n")
+            for stage in ("preprocess", "features"):
+                assert main([stage, "--config", str(corpus / "config.cfg")]) == EXIT_OK
+            assert sidecar(corpus / "out" / "preprocess" / "tweets_clean.csv").exists() == (name == "plain")
+            outcomes.append({p.name: p.read_bytes() for p in sorted((corpus / "out" / "features").iterdir())})
+        assert outcomes[0] == outcomes[1]
 
 
 class TestTweetsCsv:
@@ -628,3 +771,9 @@ class TestTweetsCsv:
         message = f"tweets.csv:3: post_date '{second}' and the first row's differ in having a UTC offset"
         with pytest.raises(ParseError, match=re.escape(message)):
             load_tweets_csv(path)
+
+    def test_ticker_holding_a_cr_reads_back(self, tmp_path):
+        path = tmp_path / "tweets.csv"
+        tweets = [tweet("1", date(2021, 1, 4), ticker="A\rB"), tweet("2", date(2021, 1, 4), body="a\nb")]
+        write_tweets_csv(path, tweets)
+        assert load_tweets_csv(path) == tweets
