@@ -348,25 +348,26 @@ def cmd_predict(config: RunConfig, artifacts: Artifacts) -> None:
 def _read_predictions(path: Path) -> dict[str, tuple[list[float], list[float]]]:
     """Truths and predictions per ticker, in file order.
 
-    One numpy pass reads a well-formed file; any other goes line by line,
-    and its first faulty line raises.
+    A header needs five fields or more.  One numpy pass reads a well-formed
+    file; any other goes line by line, and its first faulty line raises.
     """
     rows = read_csv(path)
     _, header = next(rows)
-    if len(header) >= 5:
-        table = read_table(
-            path,
-            [("date", object), ("ticker", object), ("step", object), ("truth", np.float64), ("pred", np.float64)]
-            + [(f"extra{i}", object) for i in range(5, len(header))],
-        )
-        if table is not None:
-            rows.close()
-            names, first, inverse = np.unique(table["ticker"], return_index=True, return_inverse=True)
-            order = np.argsort(inverse, kind="stable")  # grouped by ticker, file order within a group
-            bounds = np.cumsum(np.bincount(inverse))[:-1]
-            truths = np.split(table["truth"][order], bounds)
-            preds = np.split(table["pred"][order], bounds)
-            return {names[k]: (truths[k].tolist(), preds[k].tolist()) for k in np.argsort(first).tolist()}
+    if len(header) < 5:
+        raise ParseError(f"{path}:1: expected header date,ticker,step,truth,pred")
+    table = read_table(
+        path,
+        [("date", object), ("ticker", object), ("step", object), ("truth", np.float64), ("pred", np.float64)]
+        + [(f"extra{i}", object) for i in range(5, len(header))],
+    )
+    if table is not None:
+        rows.close()
+        names, first, inverse = np.unique(table["ticker"], return_index=True, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")  # grouped by ticker, file order within a group
+        bounds = np.cumsum(np.bincount(inverse))[:-1]
+        truths = np.split(table["truth"][order], bounds)
+        preds = np.split(table["pred"][order], bounds)
+        return {names[k]: (truths[k].tolist(), preds[k].tolist()) for k in np.argsort(first).tolist()}
     grouped: dict[str, tuple[list[float], list[float]]] = {}
     for lineno, row in rows:
         truths, preds = grouped.setdefault(row[1], ([], []))

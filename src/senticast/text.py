@@ -575,8 +575,7 @@ def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
     The columns come from the CSV's sidecar when it is a `.npy` record of
     `_sidecar_dtype` tagged SIDECAR_TAG that holds the sha256 of the CSV's
     bytes and a calendar in range; the CSV stays the artifact of record, so
-    an edited or rewritten CSV is read from its text.  One numpy pass reads
-    a well-formed file.  Any other file goes line by line, where a row's
+    an edited or rewritten CSV is read from its text, line by line.  A row's
     fields are checked in this order and the first fault names its file
     line: high..score_raw, the embedding, the date, holiday, dow, then the
     calendar's range (holiday 0 or 1, dow 0..4 for Mon..Fri).
@@ -590,12 +589,6 @@ def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
     if tuple(header[: len(PANEL_HEADER)]) != PANEL_HEADER:
         raise ParseError(f"{path}:1: unexpected panel header")
     dim = len(header) - len(PANEL_HEADER)
-    fields = [("date", object), ("values", np.float64, (len(PANEL_VALUES),)), ("holiday", object), ("dow", object)]
-    table = read_table(path, fields + [("embedding", np.float64, (dim,))] if dim else fields)
-    columns = None if table is None else _panel_columns(table, dim)
-    if columns is not None:
-        rows.close()
-        return AlignedPanel.from_columns(ticker, *columns)
     days: list[date] = []
     values = array("d")
     flags = array("q")
@@ -614,23 +607,6 @@ def read_panel_csv(path: Path | str, ticker: str) -> AlignedPanel:
         np.frombuffer(values, dtype=np.float64).reshape(-1, len(PANEL_VALUES) + dim),
         np.frombuffer(flags, dtype=np.int64).reshape(-1, 2),
     )
-
-
-def _panel_columns(table: np.ndarray, dim: int) -> tuple[list[date], np.ndarray, np.ndarray] | None:
-    """The days, values and calendar of a `read_table` panel, or None where a row needs the line-by-line read."""
-    try:
-        days = list(map(date.fromisoformat, table["date"].tolist()))
-    except ValueError:
-        return None
-    # Each flag must be one ASCII digit; `int` also reads ' 1', '+1', '01' and '١'.
-    flags = np.stack([table["holiday"], table["dow"]], axis=1).astype(str)
-    if flags.dtype.itemsize != 4:
-        return None
-    calendar = flags.view(np.uint32).astype(np.int64) - ord("0")
-    if not _calendar_in_range(calendar):
-        return None
-    values = np.concatenate([table["values"], table["embedding"]] if dim else [table["values"]], axis=1)
-    return days, values, calendar
 
 
 def _sidecar_path(path: Path | str) -> Path:

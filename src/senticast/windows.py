@@ -106,10 +106,6 @@ class Windows:
     def target_days(self) -> np.ndarray:
         return self.days[self.ahead]
 
-    @property
-    def anchor_day(self) -> np.ndarray:
-        return self.days[self.ends]
-
 
 @dataclass
 class Normalizer:

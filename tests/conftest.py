@@ -160,7 +160,9 @@ def load_embeddings_loop(path) -> dict[str, np.ndarray]:
 def read_predictions_loop(path) -> dict[str, tuple[list[float], list[float]]]:
     grouped: dict[str, tuple[list[float], list[float]]] = {}
     rows = read_csv(path)
-    next(rows)
+    _, header = next(rows)
+    if len(header) < 5:
+        raise ParseError(f"{path}:1: expected header date,ticker,step,truth,pred")
     for lineno, row in rows:
         truths, preds = grouped.setdefault(row[1], ([], []))
         try:

@@ -135,6 +135,11 @@ class TestMalformedInputs:
         assert self.evaluate_predictions(tmp_path / "out", text) == EXIT_VALIDATION
         assert "predictions.csv:2:" in caplog.text
 
+    def test_predictions_header_without_pred_exits_3_naming_line_1(self, tmp_path, caplog):
+        text = "date,ticker,step,truth\n2021-01-05,AAA,1,10.5\n"
+        assert self.evaluate_predictions(tmp_path / "out", text) == EXIT_VALIDATION
+        assert "predictions.csv:1:" in caplog.text
+
     def test_non_numeric_daily_score_exits_3(self, tmp_path, caplog):
         out = tmp_path / "out"
         assert run("preprocess", out) == EXIT_OK

@@ -215,6 +215,14 @@ def test_malformed_panel_row_beside_a_stale_sidecar_reports_the_same_fault(tmp_p
         load(tmp_path, "panel", "\n".join(lines) + "\n")
 
 
+def test_header_only_panel_reads_empty_without_a_warning(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = load(tmp_path, "panel", PANEL.splitlines()[0] + "\n\n")
+    assert caught == []
+    assert result == ("T", [], [], [])
+
+
 PREDICTIONS = """\
 date,ticker,step,truth,pred
 2021-01-05,AAA,1,10.5,10.25
@@ -225,7 +233,6 @@ date,ticker,step,truth,pred
 # The readers with a numpy pass: (module whose `read_csv` they call, reader, well-formed text).
 TABLE_READERS = {
     "embeddings": (text, READERS["embeddings"][1], EMBEDDINGS),
-    "panel": (text, READERS["panel"][1], PANEL),
     "predictions": (cli, cli._read_predictions, PREDICTIONS),
 }
 
@@ -262,7 +269,25 @@ def test_header_only_file_reads_empty_without_a_warning(tmp_path, name):
         warnings.simplefilter("always")
         result = read(path)
     assert caught == []
-    assert result == ({} if name != "panel" else ("T", [], [], []))
+    assert result == {}
+
+
+@pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "text"])
+def test_panel_is_read_without_the_numpy_pass(tmp_path, monkeypatch, sidecar):
+    # A panel comes from its sidecar, or else line by line; `read_table` is for embeddings and predictions.
+    path = tmp_path / "panel.csv"
+    path.write_text(PANEL)
+    if sidecar:
+        text.write_panel_csv(path, read_panel_csv(path, "T"))
+    expected = panel_data(read_panel_csv(path, "T"))
+
+    def refuse(*args):
+        raise AssertionError("read_table called for a panel")
+
+    monkeypatch.setattr(text, "read_table", refuse)
+    seen = rows_read_by_line(monkeypatch, text)
+    assert panel_data(read_panel_csv(path, "T")) == expected
+    assert [lineno for lineno, _ in seen] == ([] if sidecar else [1, 2, 3, 4])
 
 
 @pytest.mark.parametrize("body", [

@@ -775,5 +775,6 @@ def prediction_bits(outcome):
 @example("date,ticker,step,truth,pred\n")
 @example("date,ticker,step,truth,pred\n2021-01-05,AAA,1,1_0,+1\n2021-01-05,\"AAA\",1,1,1\n")
 @example('date,ticker,step,truth,"\n2021-01-05,AAA,1,0.0,0.0')  # a quoted header field holds the next line
+@example("date,ticker,step,truth\n2021-01-05,AAA,1,10.5\n")  # no pred column
 def test_prediction_reader_matches_the_row_loop(text):
     assert prediction_bits(read_outcome(_read_predictions, text)) == prediction_bits(read_outcome(read_predictions_loop, text))

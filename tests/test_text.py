@@ -385,7 +385,7 @@ class TestPanelRoundTrip:
 class TestPanelFootprint:
     # The forecast benchmark's inputs: 8 tickers x 1,000 days with 16
     # embedding columns, 1.5 MB of float64.  Read as columns, 2.3 MiB of
-    # traced allocations from the sidecars and 2.1 MiB from the text; as
+    # traced allocations from the sidecars and 1.94 MiB from the text; as
     # one object per row, 7.2 MiB.
     def peak_reading_eight_long_hlove_panels(self, tmp_path, sidecars: bool) -> int:
         panels = latent_sentiment_panels(0, n_companies=8, length=1000, embed_dim=16)

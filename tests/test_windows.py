@@ -136,7 +136,7 @@ class TestBuildWindows:
         train, _, norm = build_windows([panel], FeatureSetSpec("HLOV"), 15, 3, split=1.0)
         w = train[0]
         assert w.anchor == pytest.approx(w.past[-1, norm.close_index])
-        assert w.anchor_day < w.target_days[0]
+        assert w.days[w.ends] < w.target_days[0]
 
     def test_too_short_panel_names_ticker(self):
         panel = make_panel("TINY", [10.0] * 10)
@@ -207,7 +207,7 @@ class TestBuildWindows:
         for got, want in ((train, want_train), (test, want_test)):
             assert len(got) == len(want)
             fields = (
-                got.past, got.known, got.target, got.anchor, got.company_index, got.target_days, got.anchor_day,
+                got.past, got.known, got.target, got.anchor, got.company_index, got.target_days, got.days[got.ends],
                 got.past_rows,
             )
             for k, expected in enumerate(want):
